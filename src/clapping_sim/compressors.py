@@ -137,11 +137,24 @@ def _check_input(spec: CompressorSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _topk_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """Row mask of the k largest magnitudes, ties to the lower index."""
-    order = np.argsort(-np.abs(x), axis=-1, kind="stable")
-    mask = np.zeros(x.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    return mask
+    """Row mask of the k largest magnitudes, ties to the lower index.
+
+    Keeps every magnitude above the row's k-th largest, then fills the
+    remaining slots with the entries equal to it, lowest index first: the
+    same mask a stable descending sort would give, without the sort.
+    """
+    d = x.shape[-1]
+    mag = np.abs(x).reshape(-1, d)
+    kth = np.partition(mag, d - k, axis=-1)[:, d - k, None]
+    mask = mag >= kth
+    over = np.count_nonzero(mask, axis=-1) > k  # rows with more ties than free slots
+    if over.any():
+        rows, row_kth = mag[over], kth[over]
+        above = rows > row_kth
+        tied = rows == row_kth
+        free = k - np.count_nonzero(above, axis=-1)
+        mask[over] = above | (tied & (np.cumsum(tied, axis=-1) <= free[:, None]))
+    return mask.reshape(x.shape)
 
 
 def _quant_rows(x: np.ndarray, bits: int):
@@ -214,9 +227,11 @@ def _compose_chain(spec: CompressorSpec, x: np.ndarray, rng) -> list[np.ndarray]
 
 
 def _wire_body(
-    spec: CompressorSpec, x: np.ndarray, recon: np.ndarray, prelast: np.ndarray | None = None
+    spec: CompressorSpec, x: np.ndarray, recon: np.ndarray, prelast: np.ndarray | None = None,
+    support: np.ndarray | None = None,
 ) -> wire.WireBody:
-    """WireBody for a single compressed vector (1-D only)."""
+    """WireBody for a single compressed vector (1-D only). ``support`` is
+    the top-k mask the reconstruction was built from."""
     d = x.shape[0]
     if spec.kind in (IDENTITY, INJECT_UNIFORM):
         return wire.WireBody(fmt=wire.FMT_DENSE, dim=d, values=recon)
@@ -224,7 +239,7 @@ def _wire_body(
         # the sparse body always carries exactly k entries; selected
         # entries that happen to be zero-valued still occupy a slot
         if spec.kind == TOPK:
-            idx = np.flatnonzero(_topk_rows(x, spec.k))
+            idx = np.flatnonzero(support)
         else:
             idx = np.flatnonzero(recon != 0.0)
             if len(idx) < spec.k:
@@ -293,13 +308,16 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
     x = _check_input(spec, x)
     if x.ndim != 1:
         raise ContractViolation("compress takes a single vector; use compress_batch for rows")
-    prelast = None
+    prelast = support = None
     if spec.kind == COMPOSE:
         chain = _compose_chain(spec, x, rng)
         recon, prelast = chain[-1], chain[-2]
+    elif spec.kind == TOPK:
+        support = _topk_rows(x, spec.k)
+        recon = np.where(support, x, 0.0)
     else:
         recon = _reconstruct(spec, x, rng)
-    body = _wire_body(spec, x, recon, prelast)
+    body = _wire_body(spec, x, recon, prelast, support)
     return CompressedPayload(
         reconstruction=recon,
         encoded_bytes=wire.body_size(body),

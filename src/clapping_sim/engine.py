@@ -234,16 +234,19 @@ class PipelineEngine:
 
     def _worker_backward(self, e: int, tape: list[np.ndarray], v_out: np.ndarray):
         """Backward through worker e; returns (weight grad averaged over
-        the batch, input activation gradient rows)."""
+        the batch, input activation gradient rows). Worker 1's input is
+        the data rows, which nothing differentiates, so it returns None
+        there instead of computing that adjoint."""
         stages = self.chain.worker_stages(e)
         params = self.chain.split_params(stages, self.weights[e - 1])
         v = v_out
         grads = [np.zeros(0)] * len(stages)
         for idx in reversed(range(len(stages))):
             grads[idx] = st.stage_backward_weight(stages[idx], tape[idx], params[idx], v)
-            v = st.stage_backward_input(stages[idx], tape[idx], params[idx], v)
+            if idx > 0 or e > 1:
+                v = st.stage_backward_input(stages[idx], tape[idx], params[idx], v)
         u = np.concatenate(grads) if grads else np.zeros(0)
-        return u / self.B, v
+        return u / self.B, (v if e > 1 else None)
 
     # -- exchanges -------------------------------------------------------
 

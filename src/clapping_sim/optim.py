@@ -50,8 +50,14 @@ def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, 
     """One momentum-SGD update; returns (new_u, new_w)."""
     if not 0.0 < m_t <= 1.0 or gamma <= 0.0:
         raise ConfigurationError("need m_t in (0, 1] and gamma > 0")
-    u_new = (1.0 - m_t) * u + m_t * grad
-    return u_new, w - gamma * u_new
+    # (1 - m_t) * u + m_t * grad, then w - gamma * u_new, in that order
+    # (so in the same bits), with the second array reused as scratch
+    u_new = np.multiply(u, 1.0 - m_t)
+    w_new = np.multiply(grad, m_t)
+    u_new += w_new
+    np.multiply(u_new, gamma, out=w_new)
+    np.subtract(w, w_new, out=w_new)
+    return u_new, w_new
 
 
 def adam_update(

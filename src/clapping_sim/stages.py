@@ -305,7 +305,8 @@ def chain_gradients(
 
     Returns (loss, weight gradients per stage, activation gradients per
     stage output). The terminal activation gradient is seeded with 1; for
-    batch inputs gradients are averaged over the batch.
+    batch inputs gradients are averaged over the batch. The gradient with
+    respect to the chain input is not returned, so it is not computed.
     """
     ys = chain_forward(chain, x, w_all)
     batched = ys[0].ndim == 2
@@ -317,5 +318,6 @@ def chain_gradients(
         stage, w = chain.stages[i], w_all[i]
         v_all[i] = v * scale
         u_all[i] = stage_backward_weight(stage, ys[i], w, v) * scale
-        v = stage_backward_input(stage, ys[i], w, v)
+        if i > 0:
+            v = stage_backward_input(stage, ys[i], w, v)
     return float(np.mean(ys[-1])), u_all, v_all

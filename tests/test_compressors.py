@@ -1,10 +1,12 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from clapping_sim import compressors as comp
+from clapping_sim import harness
 from clapping_sim.errors import ConfigurationError, ContractViolation
 from clapping_sim.rng import named_stream
 
@@ -78,6 +80,55 @@ class TestTopK:
         y = np.array([0.5, -0.6, 0.5, 0.5])
         pay = comp.compress(comp.topk_spec(1), y)
         assert np.sum((y - pay.reconstruction) ** 2) < 0.75 * np.sum(y**2)
+
+
+def topk_rows_reference(x, k):
+    """The top-k mask by definition: a stable descending sort of the
+    magnitudes, so equal magnitudes go to the lower index."""
+    order = np.argsort(-np.abs(x), axis=-1, kind="stable")
+    mask = np.zeros(x.shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask
+
+
+# few distinct magnitudes, so rows have heavy ties, equal rows and zeros
+tie_heavy_rows = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=2, min_side=1, max_side=16),
+    elements=hs.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 3.0]),
+)
+
+
+class TestTopKSelection:
+    @given(tie_heavy_rows)
+    @example(np.full(7, 0.5))
+    @example(np.zeros((3, 5)))
+    @example(np.array([[1.0, -1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0], [3.0, 3.0, -3.0, 3.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_mask_matches_stable_argsort_for_every_k(self, x):
+        for k in range(1, x.shape[-1] + 1):
+            npt.assert_array_equal(comp._topk_rows(x, k), topk_rows_reference(x, k))
+
+    def test_engine_csv_matches_argsort_reference(self, tmp_path, monkeypatch):
+        cfg = harness.config_from_mapping({
+            "dataset.kind": "synthetic_mlp", "dataset.n": "64", "model.kind": "tanh_mlp",
+            "model.dims": "64,64,64,64", "model.boundaries": "2,4",
+            "algo.variant": "clapping_fc", "algo.batch_size": "16",
+            "algo.sampler_rule": "batch_batchwise", "sampling.p": "0.3",
+            "compressor.forward": "topk:6", "compressor.backward": "topk:6",
+            "algo.total_steps": "30", "run.log_every": "5",
+        })
+        partitioned = harness.run_experiment(cfg, tmp_path / "partition.csv").read_bytes()
+        calls = []
+
+        def reference(x, k):
+            calls.append(x.shape)
+            return topk_rows_reference(x, k)
+
+        monkeypatch.setattr(comp, "_topk_rows", reference)
+        argsorted = harness.run_experiment(cfg, tmp_path / "argsort.csv").read_bytes()
+        assert calls  # the reference really replaced the selection
+        assert partitioned == argsorted
 
 
 class TestRandK:

@@ -349,6 +349,29 @@ class TestAdamEngine:
         npt.assert_allclose(eng.flat_weights(), w, rtol=0, atol=1e-13)
 
 
+class TestDiscardedWork:
+    def test_worker_one_first_stage_gets_no_input_adjoint(self, monkeypatch):
+        chain = st.tanh_mlp_chain((5, 6, 6, 4), boundaries=(2, 4))
+        X = named_stream(4, "adjoints").standard_normal((32, 5))
+        rng = named_stream(5, "adjoints-init")
+        init = [0.3 * rng.standard_normal(chain.worker_param_dim(e)) for e in (1, 2, 3)]
+        engine = PipelineEngine(chain, make_config(CLAPPING_FC, chain, p=0.5, batch=4, steps=6),
+                                X, init_weights=init)
+        asked = []
+        real = st.stage_backward_input
+
+        def counting(stage, *args):
+            asked.append(stage)
+            return real(stage, *args)
+
+        monkeypatch.setattr(st, "stage_backward_input", counting)
+        for _ in range(6):
+            asked.clear()
+            engine.run_iteration()
+            assert len(asked) == len(chain.stages) - 1
+            assert not any(stage is chain.stages[0] for stage in asked)
+
+
 class TestMisc:
     def test_momentum_reset_clears_history(self, logistic_setup):
         chain, X, init = logistic_setup

@@ -4,6 +4,7 @@ import pytest
 
 from clapping_sim.errors import ConfigurationError
 from clapping_sim.optim import adam_update, momentum_update
+from clapping_sim.rng import named_stream
 
 
 class TestMomentum:
@@ -30,6 +31,19 @@ class TestMomentum:
         for t in range(1, 12):
             u, w = momentum_update(u, w, g, m, 0.01)
             npt.assert_array_equal(u, (1 - (1 - m) ** t) * g)
+
+    def test_matches_textbook_expression_bit_for_bit_and_is_pure(self):
+        rng = named_stream(2, "momentum-bits")
+        for n, m, gamma in ((1, 0.1, 0.1), (257, 0.37, 0.0125), (4096, 0.9, 3.7)):
+            u, w, g = (rng.standard_normal(n) * 10.0 ** rng.integers(-6, 6) for _ in range(3))
+            before = [a.copy() for a in (u, w, g)]
+            u_new, w_new = momentum_update(u, w, g, m, gamma)
+            want_u = (1 - m) * before[0] + m * before[2]
+            assert u_new.tobytes() == want_u.tobytes()
+            assert w_new.tobytes() == (before[1] - gamma * want_u).tobytes()
+            for a, b in zip((u, w, g), before):
+                assert a.tobytes() == b.tobytes()
+            assert not any(np.shares_memory(out, a) for out in (u_new, w_new) for a in (u, w, g))
 
     def test_rejects_bad_coefficients(self):
         with pytest.raises(ConfigurationError):

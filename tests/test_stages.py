@@ -223,6 +223,24 @@ class TestModelChain:
                 fd[i] = (st.chain_loss(chain, x, up) - st.chain_loss(chain, x, dn)) / (2 * h)
             assert np.linalg.norm(u_all[si] - fd) / max(np.linalg.norm(fd), 1e-8) < 1e-6
 
+    def test_chain_gradients_skips_the_chain_input_adjoint(self, monkeypatch):
+        chain = st.tanh_mlp_chain((4, 6, 3), boundaries=(2,))
+        rng = named_stream(9, "chain-input")
+        w_all = [rng.standard_normal(s.param_dim) for s in chain.stages]
+        X = rng.standard_normal((5, 4))
+        asked = []
+        real = st.stage_backward_input
+
+        def counting(stage, *args):
+            asked.append(stage)
+            return real(stage, *args)
+
+        monkeypatch.setattr(st, "stage_backward_input", counting)
+        _, _, v_all = st.chain_gradients(chain, X, w_all)
+        assert len(asked) == len(chain.stages) - 1
+        assert not any(stage is chain.stages[0] for stage in asked)
+        assert len(v_all) == len(chain.stages)
+
     def test_batched_loss_is_mean_of_rows(self):
         chain = st.logistic_chain(3, 0.01)
         rng = named_stream(8, "mean")
