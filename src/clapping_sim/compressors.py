@@ -53,6 +53,16 @@ INJECT_UNIFORM = "inject_uniform"
 KINDS = (IDENTITY, TOPK, RANDK, UNIFORM_QUANT, NATURAL, COMPOSE, INJECT_UNIFORM)
 STOCHASTIC_KINDS = (RANDK, INJECT_UNIFORM)
 
+# wire format of each kind's message body (see _wire_format for compose)
+_FORMATS = {
+    IDENTITY: wire.FMT_DENSE,
+    INJECT_UNIFORM: wire.FMT_DENSE,
+    TOPK: wire.FMT_SPARSE,
+    RANDK: wire.FMT_SPARSE,
+    UNIFORM_QUANT: wire.FMT_QUANT,
+    NATURAL: wire.FMT_NATURAL,
+}
+
 NATURAL_EXP_MIN = -63
 NATURAL_EXP_MAX = 63
 
@@ -157,6 +167,28 @@ def _topk_rows(x: np.ndarray, k: int) -> np.ndarray:
     return mask.reshape(x.shape)
 
 
+def _randk_rows(x: np.ndarray, k: int, rng) -> np.ndarray:
+    """Row mask of k coordinates per row drawn uniformly from the stream."""
+    if rng is None:
+        raise ContractViolation("randk needs a random stream")
+    shape = x.shape if x.ndim == 2 else (1,) + x.shape
+    order = np.argsort(rng.random(shape), axis=-1)
+    mask = np.zeros(shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :k], True, axis=-1)
+    return mask.reshape(x.shape)
+
+
+def _wire_format(spec: CompressorSpec) -> tuple[int, int, int]:
+    """(format tag, quant bits, compose value-block tag) of a spec's bodies.
+    A composed body carries the last member's values in that member's
+    format, or dense after a sparse member (the indices are already sent)."""
+    if spec.kind != COMPOSE:
+        return _FORMATS[spec.kind], spec.bits, wire.FMT_DENSE
+    last = spec.inner[-1]
+    inner = _FORMATS[last.kind]
+    return wire.FMT_COMPOSE, last.bits, wire.FMT_DENSE if inner == wire.FMT_SPARSE else inner
+
+
 def _quant_rows(x: np.ndarray, bits: int):
     """Returns (reconstruction, float32 scales, integer codes)."""
     levels_half = (1 << (bits - 1)) - 1
@@ -198,14 +230,7 @@ def _reconstruct(spec: CompressorSpec, x: np.ndarray, rng) -> np.ndarray:
     if spec.kind == TOPK:
         return np.where(_topk_rows(x, spec.k), x, 0.0)
     if spec.kind == RANDK:
-        if rng is None:
-            raise ContractViolation("randk needs a random stream")
-        shape = x.shape if x.ndim == 2 else (1,) + x.shape
-        keys = rng.random(shape)
-        order = np.argsort(keys, axis=-1)
-        mask = np.zeros(shape, dtype=bool)
-        np.put_along_axis(mask, order[..., : spec.k], True, axis=-1)
-        return np.where(mask.reshape(x.shape), x, 0.0)
+        return np.where(_randk_rows(x, spec.k, rng), x, 0.0)
     if spec.kind == UNIFORM_QUANT:
         return _quant_rows(x, spec.bits)[0]
     if spec.kind == NATURAL:
@@ -231,75 +256,40 @@ def _wire_body(
     support: np.ndarray | None = None,
 ) -> wire.WireBody:
     """WireBody for a single compressed vector (1-D only). ``support`` is
-    the top-k mask the reconstruction was built from."""
+    the top-k or rand-k mask the reconstruction was built from."""
     d = x.shape[0]
-    if spec.kind in (IDENTITY, INJECT_UNIFORM):
-        return wire.WireBody(fmt=wire.FMT_DENSE, dim=d, values=recon)
-    if spec.kind in (TOPK, RANDK):
-        # the sparse body always carries exactly k entries; selected
-        # entries that happen to be zero-valued still occupy a slot
-        if spec.kind == TOPK:
-            idx = np.flatnonzero(support)
-        else:
-            idx = np.flatnonzero(recon != 0.0)
-            if len(idx) < spec.k:
-                pad = np.setdiff1d(np.arange(d), idx)[: spec.k - len(idx)]
-                idx = np.sort(np.concatenate([idx, pad]))
-        return wire.WireBody(fmt=wire.FMT_SPARSE, dim=d, indices=idx, values=recon[idx])
-    if spec.kind == UNIFORM_QUANT:
-        _, scale32, codes = _quant_rows(x, spec.bits)
-        return wire.WireBody(
-            fmt=wire.FMT_QUANT, dim=d, scale=float(scale32.reshape(())), codes=codes,
-            bits=spec.bits,
-        )
-    if spec.kind == NATURAL:
+    fmt, bits, inner_fmt = _wire_format(spec)
+    if fmt == wire.FMT_DENSE:
+        return wire.WireBody(fmt=fmt, dim=d, values=recon)
+    if fmt == wire.FMT_SPARSE:
+        # the sparse body always carries exactly the k selected entries;
+        # selected entries that happen to be zero-valued still occupy a slot
+        idx = np.flatnonzero(support)
+        return wire.WireBody(fmt=fmt, dim=d, indices=idx, values=recon[idx])
+    if fmt == wire.FMT_QUANT:
+        _, scale32, codes = _quant_rows(x, bits)
+        return wire.WireBody(fmt=fmt, dim=d, scale=float(scale32.reshape(())), codes=codes,
+                             bits=bits)
+    if fmt == wire.FMT_NATURAL:
         _, exp = _natural_rows(x)
-        return wire.WireBody(fmt=wire.FMT_NATURAL, dim=d, codes=_natural_codes(np.sign(x), exp))
+        return wire.WireBody(fmt=fmt, dim=d, codes=_natural_codes(np.sign(x), exp))
     # compose: indices of the surviving support + the last member's value
     # block, built from the intermediate the last member actually saw so
     # that decoding reproduces the reconstruction exactly
     idx = np.flatnonzero(recon != 0.0)
-    last = spec.inner[-1]
-    sub = prelast[idx] if prelast is not None else recon[idx]
-    if last.kind == UNIFORM_QUANT:
-        _, scale32, codes = _quant_rows(sub if len(sub) else np.zeros(1), last.bits)
-        inner = wire.WireBody(fmt=wire.FMT_QUANT, dim=len(idx),
+    sub = prelast[idx]
+    if inner_fmt == wire.FMT_QUANT:
+        _, scale32, codes = _quant_rows(sub if len(sub) else np.zeros(1), bits)
+        inner = wire.WireBody(fmt=inner_fmt, dim=len(idx),
                               scale=float(np.asarray(scale32).reshape(-1)[0]),
-                              codes=codes[: len(idx)], bits=last.bits)
-    elif last.kind == NATURAL:
+                              codes=codes[: len(idx)], bits=bits)
+    elif inner_fmt == wire.FMT_NATURAL:
         _, exp = _natural_rows(sub)
-        inner = wire.WireBody(fmt=wire.FMT_NATURAL, dim=len(idx),
+        inner = wire.WireBody(fmt=inner_fmt, dim=len(idx),
                               codes=_natural_codes(np.sign(sub), exp))
     else:
-        inner = wire.WireBody(fmt=wire.FMT_DENSE, dim=len(idx), values=recon[idx])
-    return wire.WireBody(fmt=wire.FMT_COMPOSE, dim=d, indices=idx, inner=inner)
-
-
-def _sparse_payload_sizes(spec: CompressorSpec, x: np.ndarray, recon: np.ndarray):
-    """(payload, value-only) byte totals for a batch, without building bodies."""
-    rows = recon if recon.ndim == 2 else recon[None, :]
-    d = rows.shape[-1]
-    n = rows.shape[0]
-    if spec.kind in (IDENTITY, INJECT_UNIFORM):
-        return 4 * d * n, 4 * d * n
-    if spec.kind in (TOPK, RANDK):
-        return 8 * spec.k * n, 4 * spec.k * n
-    if spec.kind == UNIFORM_QUANT:
-        per = 4 + wire.quant_code_bytes(d, spec.bits)
-        return per * n, per * n
-    if spec.kind == NATURAL:
-        return d * n, d * n
-    # compose
-    nnz = np.count_nonzero(rows, axis=-1)
-    last = spec.inner[-1]
-    if last.kind == UNIFORM_QUANT:
-        values = int(sum(4 + wire.quant_code_bytes(int(c), last.bits) for c in nnz))
-    elif last.kind == NATURAL:
-        values = int(nnz.sum())
-    else:
-        values = 4 * int(nnz.sum())
-    payload = 4 * n + 4 * int(nnz.sum()) + values
-    return payload, values
+        inner = wire.WireBody(fmt=inner_fmt, dim=len(idx), values=recon[idx])
+    return wire.WireBody(fmt=fmt, dim=d, indices=idx, inner=inner)
 
 
 def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload:
@@ -312,8 +302,8 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
     if spec.kind == COMPOSE:
         chain = _compose_chain(spec, x, rng)
         recon, prelast = chain[-1], chain[-2]
-    elif spec.kind == TOPK:
-        support = _topk_rows(x, spec.k)
+    elif spec.kind in (TOPK, RANDK):
+        support = _topk_rows(x, spec.k) if spec.kind == TOPK else _randk_rows(x, spec.k, rng)
         recon = np.where(support, x, 0.0)
     else:
         recon = _reconstruct(spec, x, rng)
@@ -337,8 +327,13 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None):
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
     recon = _reconstruct(spec, x, rng)
-    payload, values = _sparse_payload_sizes(spec, x, recon)
-    return recon, payload, values
+    fmt, bits, inner = _wire_format(spec)
+    if fmt == wire.FMT_COMPOSE:
+        payload, values = wire.sizes(fmt, x.shape[1], np.count_nonzero(recon, axis=-1), bits,
+                                     inner)
+        return recon, int(payload.sum()), int(values.sum())
+    payload, values = wire.sizes(fmt, x.shape[1], spec.k, bits)
+    return recon, payload * x.shape[0], values * x.shape[0]
 
 
 def contraction_bound(spec: CompressorSpec, dim: int) -> float:

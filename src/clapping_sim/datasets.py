@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,6 +151,15 @@ def compute_f_star(
             f"(final gradient norm {gnorm:.3e})"
         )
     if use_cache:
+        # write through a temp file in the same directory, so a reader never
+        # sees a partial file and a failed write leaves nothing behind
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(json.dumps({"f_star": loss, "grad_norm": gnorm, "iters": it}))
+        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, prefix=".fstar-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                json.dump({"f_star": loss, "grad_norm": gnorm, "iters": it}, fh)
+            os.replace(tmp, cache_file)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return float(loss)

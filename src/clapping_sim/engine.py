@@ -12,23 +12,19 @@ Both endpoints of a boundary keep a copy of the reconstruction cache and
 apply the identical update, so sender and receiver copies stay
 bit-identical; this is asserted after every exchange.
 
-Variants:
-
-  no_comp      dense activations and gradients, fresh sample every step
-  direct       compress values directly in both directions
-  forward_ef   error feedback on activations, direct compression on
-               gradients, no lazy sampling
-  aq_sgd       per-sample forward error feedback (one cache entry per
-               dataset row per boundary), direct backward compression
-  clapping_fc  error feedback both ways with lazy sampling, every
-               message compressed
-  clapping_fu  like fc, but the step that draws a fresh sample sends
-               dense payloads in both directions
+The variants differ only in what each boundary sends in each direction.
+``VARIANT_POLICY`` gives each one a mode per direction, whether it samples
+lazily (reusing the previous batch with probability 1 - p_t) and whether
+rows drawn fresh this step travel dense. The modes: ``dense`` sends the
+values; ``direct`` sends C(x); ``ef`` sends C(x - cache) and both
+endpoints set cache <- cache + C(x - cache); ``per_sample_ef`` does the
+same against one cache entry per dataset row instead of per batch row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +43,29 @@ AQ_SGD = "aq_sgd"
 CLAPPING_FC = "clapping_fc"
 CLAPPING_FU = "clapping_fu"
 
-VARIANTS = (NO_COMP, DIRECT, FORWARD_EF, AQ_SGD, CLAPPING_FC, CLAPPING_FU)
-LAZY_VARIANTS = (CLAPPING_FC, CLAPPING_FU)
+# exchange modes (see the module docstring); per-sample EF is forward only
+MODE_DENSE = "dense"
+MODE_DIRECT = "direct"
+MODE_EF = "ef"
+MODE_PER_SAMPLE_EF = "per_sample_ef"
+
+
+class VariantPolicy(NamedTuple):
+    forward: str
+    backward: str
+    lazy: bool              # lazy sampling; the others draw fresh every step
+    fresh_rows_dense: bool  # EF sends rows drawn fresh this step uncompressed
+
+
+VARIANT_POLICY = {
+    NO_COMP: VariantPolicy(MODE_DENSE, MODE_DENSE, lazy=False, fresh_rows_dense=False),
+    DIRECT: VariantPolicy(MODE_DIRECT, MODE_DIRECT, lazy=False, fresh_rows_dense=False),
+    FORWARD_EF: VariantPolicy(MODE_EF, MODE_DIRECT, lazy=False, fresh_rows_dense=False),
+    AQ_SGD: VariantPolicy(MODE_PER_SAMPLE_EF, MODE_DIRECT, lazy=False, fresh_rows_dense=False),
+    CLAPPING_FC: VariantPolicy(MODE_EF, MODE_EF, lazy=True, fresh_rows_dense=False),
+    CLAPPING_FU: VariantPolicy(MODE_EF, MODE_EF, lazy=True, fresh_rows_dense=True),
+}
+VARIANTS = tuple(VARIANT_POLICY)
 
 
 @dataclass(frozen=True)
@@ -121,8 +138,10 @@ class PipelineEngine:
         self.E = chain.num_workers
         self.B = config.batch_size
 
+        self.policy = VARIANT_POLICY[config.variant]
+        per_sample = self.policy.forward == MODE_PER_SAMPLE_EF
         if isinstance(inputs, StreamingInputs):
-            if config.variant == AQ_SGD:
+            if per_sample:
                 raise UnsupportedConfiguration(
                     "the per-sample cache cannot cover an infinite input stream"
                 )
@@ -139,13 +158,12 @@ class PipelineEngine:
             self.inputs = X
             n_samples = X.shape[0]
 
-        lazy = config.variant in LAZY_VARIANTS
         self.sampler = SamplerState(
             rule=config.sampler_rule,
             batch_size=config.batch_size,
-            p_schedule=config.p_schedule if lazy else Schedule.constant(1.0),
+            p_schedule=config.p_schedule if self.policy.lazy else Schedule.constant(1.0),
             n_samples=n_samples,
-            force_fresh_at_step_2=lazy and config.force_fresh_at_step_2,
+            force_fresh_at_step_2=self.policy.lazy and config.force_fresh_at_step_2,
         )
         self._rng_sample = named_stream(config.seed, "sampler")
         self._rng_stream_data = named_stream(config.seed, "stream-data")
@@ -179,7 +197,7 @@ class PipelineEngine:
         self.bwd_cache_recv = [np.zeros((B, chain.boundary_dim(i))) for i in range(n_bound)]
 
         self.aqsgd_cache: list[np.ndarray] | None = None
-        if config.variant == AQ_SGD:
+        if per_sample:
             self.aqsgd_cache = [
                 np.zeros((n_samples, chain.boundary_dim(i))) for i in range(n_bound)
             ]
@@ -220,17 +238,11 @@ class PipelineEngine:
 
     # -- worker-local math ---------------------------------------------
 
-    def _worker_forward(self, e: int, y_in: np.ndarray):
-        """Forward through worker e's stages; returns (output, tape of
-        per-stage inputs)."""
+    def _worker_forward(self, e: int, y_in: np.ndarray) -> list[np.ndarray]:
+        """Forward through worker e's stages; returns [input, each stage
+        output]. Each stage's input is the tape the backward pass reads."""
         stages = self.chain.worker_stages(e)
-        params = self.chain.split_params(stages, self.weights[e - 1])
-        tape = []
-        y = y_in
-        for stage, w in zip(stages, params):
-            tape.append(y)
-            y = st.stage_forward(stage, y, w)
-        return y, tape
+        return st.run_stages(stages, y_in, self.chain.split_params(stages, self.weights[e - 1]))
 
     def _worker_backward(self, e: int, tape: list[np.ndarray], v_out: np.ndarray):
         """Backward through worker e; returns (weight grad averaged over
@@ -250,82 +262,51 @@ class PipelineEngine:
 
     # -- exchanges -------------------------------------------------------
 
-    def _dense_bytes(self, rows: int, dim: int) -> int:
-        return 4 * dim * rows
+    def forward_exchange(self, i: int, y: np.ndarray, fresh_rows: np.ndarray,
+                         sample_idx: np.ndarray | None = None) -> np.ndarray:
+        """Transmit the boundary-i activation to worker i+2."""
+        return self._exchange(wire.FORWARD, i, y, fresh_rows, sample_idx)
 
-    def forward_exchange(self, i: int, y: np.ndarray, fresh_rows: np.ndarray, t: int,
-                         sample_idx: np.ndarray | None = None):
-        """Transmit the boundary-i activation; updates both cache copies
-        and the ledger, returns the reconstruction the receiver uses."""
-        variant = self.config.variant
-        spec = self.config.forward_compressors[i]
-        rng = self._rng_fwd[i]
-        dim = y.shape[1]
+    def backward_exchange(self, i: int, v: np.ndarray, fresh_rows: np.ndarray) -> np.ndarray:
+        """Transmit the boundary-i activation gradient back to worker i+1."""
+        return self._exchange(wire.BACKWARD, i, v, fresh_rows, None)
 
-        if variant == NO_COMP:
-            recon = y.copy()
-            nbytes = value_bytes = self._dense_bytes(self.B, dim)
-        elif variant == DIRECT:
-            recon, nbytes, value_bytes = comp.compress_batch(spec, y, rng)
-        elif variant == AQ_SGD:
-            cache = self.aqsgd_cache[i][sample_idx]
-            delta, nbytes, value_bytes = comp.compress_batch(spec, y - cache, rng)
-            recon = cache + delta
+    def _exchange(self, direction: int, i: int, x: np.ndarray, fresh_rows: np.ndarray,
+                  sample_idx: np.ndarray | None) -> np.ndarray:
+        """Send x across boundary i in the variant's mode for this
+        direction; updates both cache copies and the ledger, returns the
+        reconstruction the receiver uses."""
+        if direction == wire.FORWARD:
+            mode = self.policy.forward
+            spec, rng = self.config.forward_compressors[i], self._rng_fwd[i]
+            send, recv = self.fwd_cache_send, self.fwd_cache_recv
+        else:
+            mode = self.policy.backward
+            spec, rng = self.config.backward_compressors[i], self._rng_bwd[i]
+            send, recv = self.bwd_cache_send, self.bwd_cache_recv
+
+        if mode == MODE_DENSE:
+            recon = x.copy()
+            nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
+        elif mode == MODE_DIRECT:
+            recon, nbytes, value_bytes = comp.compress_batch(spec, x, rng)
+        elif mode == MODE_PER_SAMPLE_EF:
+            recon, nbytes, value_bytes = _ef_update(spec, x, self.aqsgd_cache[i][sample_idx], rng)
             self.aqsgd_cache[i][sample_idx] = recon
-        elif variant == CLAPPING_FU and fresh_rows.any():
-            recon = np.empty_like(y)
+        elif self.policy.fresh_rows_dense and fresh_rows.any():
             stale = ~fresh_rows
-            recon[fresh_rows] = y[fresh_rows]
-            nbytes = value_bytes = self._dense_bytes(int(fresh_rows.sum()), dim)
+            recon = x.copy()
+            nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * int(fresh_rows.sum())
             if stale.any():
-                cache = self.fwd_cache_send[i][stale]
-                delta, nb, vb = comp.compress_batch(spec, y[stale] - cache, rng)
-                recon[stale] = cache + delta
+                recon[stale], nb, vb = _ef_update(spec, x[stale], send[i][stale], rng)
                 nbytes += nb
                 value_bytes += vb
-        else:  # forward_ef, clapping_fc, clapping_fu stale step
-            cache = self.fwd_cache_send[i]
-            delta, nbytes, value_bytes = comp.compress_batch(spec, y - cache, rng)
-            recon = cache + delta
+        else:
+            recon, nbytes, value_bytes = _ef_update(spec, x, send[i], rng)
 
-        self.fwd_cache_send[i] = recon.copy()
-        self.fwd_cache_recv[i] = recon.copy()
-        self.ledger.record(i, wire.FORWARD, nbytes, value_bytes)
-        self._assert_mirrored(i)
-        return recon
-
-    def backward_exchange(self, i: int, v: np.ndarray, fresh_rows: np.ndarray, t: int):
-        """Transmit the boundary-i activation gradient back to worker
-        i+1; mirrors forward_exchange's cache and ledger behavior."""
-        variant = self.config.variant
-        spec = self.config.backward_compressors[i]
-        rng = self._rng_bwd[i]
-        dim = v.shape[1]
-
-        if variant == NO_COMP:
-            recon = v.copy()
-            nbytes = value_bytes = self._dense_bytes(self.B, dim)
-        elif variant in (DIRECT, FORWARD_EF, AQ_SGD):
-            recon, nbytes, value_bytes = comp.compress_batch(spec, v, rng)
-        elif variant == CLAPPING_FU and fresh_rows.any():
-            recon = np.empty_like(v)
-            stale = ~fresh_rows
-            recon[fresh_rows] = v[fresh_rows]
-            nbytes = value_bytes = self._dense_bytes(int(fresh_rows.sum()), dim)
-            if stale.any():
-                cache = self.bwd_cache_send[i][stale]
-                delta, nb, vb = comp.compress_batch(spec, v[stale] - cache, rng)
-                recon[stale] = cache + delta
-                nbytes += nb
-                value_bytes += vb
-        else:  # clapping_fc, clapping_fu stale step
-            cache = self.bwd_cache_send[i]
-            delta, nbytes, value_bytes = comp.compress_batch(spec, v - cache, rng)
-            recon = cache + delta
-
-        self.bwd_cache_send[i] = recon.copy()
-        self.bwd_cache_recv[i] = recon.copy()
-        self.ledger.record(i, wire.BACKWARD, nbytes, value_bytes)
+        send[i] = recon.copy()
+        recv[i] = recon.copy()
+        self.ledger.record(i, direction, nbytes, value_bytes)
         self._assert_mirrored(i)
         return recon
 
@@ -340,33 +321,17 @@ class PipelineEngine:
         t = expected
 
         indices, refreshed, f_fu = lazy_sample(self.sampler, self._rng_sample)
-        if self.config.variant == AQ_SGD:
-            return self.aqsgd_step(indices, t)
-        return self._step_body(indices, refreshed, f_fu, t)
-
-    def aqsgd_step(self, sample_indices: np.ndarray, t: int) -> IterationMetrics:
-        """One step using the per-sample forward cache for the given
-        dataset rows; all other cache entries stay untouched."""
-        if self.aqsgd_cache is None:
-            raise UnsupportedConfiguration("engine was not configured for the per-sample variant")
-        sample_indices = np.asarray(sample_indices, dtype=np.int64)
-        if sample_indices.shape != (self.B,):
-            raise ContractViolation(f"need {self.B} sample indices")
-        fresh = np.ones(self.B, dtype=bool)
-        return self._step_body(sample_indices, fresh, True, t)
-
-    def _step_body(self, indices, refreshed, f_fu, t) -> IterationMetrics:
         fwd0 = self.ledger.total_bytes(wire.FORWARD)
         bwd0 = self.ledger.total_bytes(wire.BACKWARD)
 
-        x = self._rows(indices)
-        tapes: list = [None] * self.E
-        y = x
-        for e in range(1, self.E):
-            out, tapes[e - 1] = self._worker_forward(e, y)
-            y = self.forward_exchange(e - 1, out, refreshed, t, sample_idx=indices)
-        y_last, tapes[self.E - 1] = self._worker_forward(self.E, y)
-        loss = float(np.mean(y_last))
+        tapes = []
+        y = self._rows(indices)
+        for e in range(1, self.E + 1):
+            tapes.append(self._worker_forward(e, y))
+            y = tapes[-1].pop()  # the output; what remains is the backward tape
+            if e < self.E:
+                y = self.forward_exchange(e - 1, y, refreshed, indices)
+        loss = float(np.mean(y))
 
         gamma = self.config.optimizer.gamma.value_at(t)
         m_t = self.config.optimizer.momentum.value_at(t)
@@ -381,7 +346,7 @@ class PipelineEngine:
             self._update_worker(e, u_e, gamma, m_t)
             u_sq += float(self.momentum[e - 1] @ self.momentum[e - 1])
             if e > 1:
-                v = self.backward_exchange(e - 2, v_in, refreshed, t)
+                v = self.backward_exchange(e - 2, v_in, refreshed)
 
         self.t = t
         return IterationMetrics(
@@ -416,3 +381,9 @@ class PipelineEngine:
     def run(self, steps: int | None = None) -> list[IterationMetrics]:
         steps = self.config.total_steps if steps is None else steps
         return [self.run_iteration() for _ in range(steps)]
+
+
+def _ef_update(spec: comp.CompressorSpec, x: np.ndarray, cache: np.ndarray, rng):
+    """Error-feedback step: (cache + C(x - cache), payload bytes, value bytes)."""
+    delta, nbytes, value_bytes = comp.compress_batch(spec, x - cache, rng)
+    return cache + delta, nbytes, value_bytes

@@ -63,15 +63,22 @@ def _get(raw: dict, key: str, default=None, required: bool = False) -> str:
     return default
 
 
-def _as_int(raw: dict, key: str, default=None, required=False, minimum=None) -> int:
-    v = _get(raw, key, default, required)
+def _parse_int(key: str, v) -> int:
     try:
-        out = int(str(v))
+        return int(str(v))
     except (TypeError, ValueError):
         raise ConfigurationError(f"{key}: expected an integer, got {v!r}") from None
+
+
+def _as_int(raw: dict, key: str, default=None, required=False, minimum=None) -> int:
+    out = _parse_int(key, _get(raw, key, default, required))
     if minimum is not None and out < minimum:
         raise ConfigurationError(f"{key}: must be >= {minimum}, got {out}")
     return out
+
+
+def _as_ints(raw: dict, key: str, default: str) -> tuple[int, ...]:
+    return tuple(_parse_int(key, x) for x in str(_get(raw, key, default)).split(","))
 
 
 def _as_float(raw: dict, key: str, default=None, required=False) -> float:
@@ -166,10 +173,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     if model_kind not in ("logistic", "tanh_mlp"):
         raise ConfigurationError(f"model.kind: unknown model {model_kind!r}")
 
-    dims = tuple(int(x) for x in str(_get(raw, "model.dims", "8,8")).split(",")) \
-        if model_kind == "tanh_mlp" else ()
-    bounds = tuple(int(x) for x in str(_get(raw, "model.boundaries", "2")).split(",")) \
-        if model_kind == "tanh_mlp" else ()
+    dims = _as_ints(raw, "model.dims", "8,8") if model_kind == "tanh_mlp" else ()
+    bounds = _as_ints(raw, "model.boundaries", "2") if model_kind == "tanh_mlp" else ()
 
     variant = _get(raw, "algo.variant", required=True)
     if variant not in VARIANTS:
@@ -192,7 +197,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         eps=_as_float(raw, "optimizer.eps", 1e-8),
     )
     resets = frozenset(
-        int(x) for x in str(_get(raw, "optimizer.reset_steps", "")).split(",") if x.strip()
+        _parse_int("optimizer.reset_steps", x)
+        for x in str(_get(raw, "optimizer.reset_steps", "")).split(",") if x.strip()
     )
 
     # one compressor per boundary per direction, with per-boundary overrides

@@ -260,14 +260,21 @@ class ModelChain:
         return parts
 
 
+def run_stages(
+    stages: tuple[StageSpec, ...], x: np.ndarray, params: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Apply stages in order; returns [x, output of each stage]."""
+    ys = [x]
+    for stage, w in zip(stages, params):
+        ys.append(stage_forward(stage, ys[-1], w))
+    return ys
+
+
 def chain_forward(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> list[np.ndarray]:
     """Run every stage; returns [y_0, y_1, ..., y_E] with y_0 = x."""
     if len(w_all) != len(chain.stages):
         raise ContractViolation("need one parameter vector per stage")
-    ys = [np.asarray(x, dtype=np.float64)]
-    for stage, w in zip(chain.stages, w_all):
-        ys.append(stage_forward(stage, ys[-1], w))
-    return ys
+    return run_stages(chain.stages, np.asarray(x, dtype=np.float64), w_all)
 
 
 def chain_loss(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> float:

@@ -299,13 +299,8 @@ def check_identity_equivalence(
 
 def _worker_apply(chain, e, weights, y_in):
     stages = chain.worker_stages(e)
-    params = chain.split_params(stages, weights[e - 1])
-    y = y_in
-    tape = []
-    for spec, w in zip(stages, params):
-        tape.append(y)
-        y = st.stage_forward(spec, y, w)
-    return y, tape
+    ys = st.run_stages(stages, y_in, chain.split_params(stages, weights[e - 1]))
+    return ys[-1], ys
 
 
 def _worker_pullback(chain, e, weights, tape, v):

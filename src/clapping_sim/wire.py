@@ -1,7 +1,8 @@
 """Wire format and transfer accounting.
 
-Every exchanged payload has a canonical byte layout; byte counts reported
-anywhere in the simulator come from these formulas. All multi-byte
+Every exchanged payload has a canonical byte layout, and ``sizes`` holds
+its byte-count formula: every byte count the simulator reports (message
+bodies, batch totals, dense payloads) comes from it. All multi-byte
 integers are little-endian.
 
 Header (8 bytes): u32 step, u16 boundary, u8 direction (0 forward,
@@ -65,37 +66,50 @@ class WireBody:
     inner: "WireBody | None" = None    # COMPOSE value block
 
 
-def quant_code_bytes(dim: int, bits: int) -> int:
-    return (dim * bits + 7) // 8
+def sizes(fmt: int, dim, count=0, bits: int = 0, inner: int = FMT_DENSE):
+    """(body, value-only) byte counts of one body: the single size formula.
+
+    ``count`` is the SPARSE entry count or the COMPOSE index count, ``bits``
+    the QUANT width (of the value block, for COMPOSE) and ``inner`` the
+    COMPOSE value-block format. ``dim`` and ``count`` may be arrays of
+    per-row values; the counts then come back per row. Value-only bytes
+    leave out index and count overhead.
+    """
+    if fmt == FMT_DENSE:
+        body = 4 * dim
+    elif fmt == FMT_SPARSE:
+        return 8 * count, 4 * count
+    elif fmt == FMT_QUANT:
+        body = 4 + (dim * bits + 7) // 8
+    elif fmt == FMT_NATURAL:
+        body = dim
+    elif fmt == FMT_COMPOSE:
+        values = sizes(inner, count, bits=bits)[1]
+        return 4 + 4 * count + values, values
+    else:
+        raise ConfigurationError(f"unknown wire format {fmt}")
+    return body, body
+
+
+def _body_sizes(body: WireBody):
+    count = 0 if body.indices is None else len(body.indices)
+    block = body.inner or body  # a COMPOSE value block sets the bits and inner format
+    return sizes(body.fmt, body.dim, count, block.bits, block.fmt)
 
 
 def body_size(body: WireBody) -> int:
     """Exact body byte count for a WireBody."""
-    if body.fmt == FMT_DENSE:
-        return 4 * body.dim
-    if body.fmt == FMT_SPARSE:
-        return 8 * len(body.indices)
-    if body.fmt == FMT_QUANT:
-        return 4 + quant_code_bytes(body.dim, body.bits)
-    if body.fmt == FMT_NATURAL:
-        return body.dim
-    if body.fmt == FMT_COMPOSE:
-        return 4 + 4 * len(body.indices) + body_size(body.inner)
-    raise ConfigurationError(f"unknown wire format {body.fmt}")
+    return _body_sizes(body)[0]
 
 
 def value_only_size(body: WireBody) -> int:
     """Byte count excluding index/count overhead, for saving metrics that
     mirror value-only accounting."""
-    if body.fmt == FMT_SPARSE:
-        return 4 * len(body.indices)
-    if body.fmt == FMT_COMPOSE:
-        return value_only_size(body.inner)
-    return body_size(body)
+    return _body_sizes(body)[1]
 
 
 def _pack_bits(codes: np.ndarray, bits: int) -> bytes:
-    out = bytearray(quant_code_bytes(len(codes), bits))
+    out = bytearray((len(codes) * bits + 7) // 8)
     pos = 0
     for c in codes:
         c = int(c)
@@ -155,7 +169,7 @@ def encode_message(step: int, boundary: int, direction: int, body: WireBody) -> 
 def _decode_quant_values(raw: bytes, dim: int, bits: int) -> np.ndarray:
     if bits < 2:
         raise DecodeError("quant decoding needs the bit width")
-    if len(raw) != 4 + quant_code_bytes(dim, bits):
+    if len(raw) != sizes(FMT_QUANT, dim, bits=bits)[0]:
         raise DecodeError("quant body length mismatch")
     scale = struct.unpack("<f", raw[:4])[0]
     offset = (1 << (bits - 1)) - 1

@@ -73,3 +73,14 @@ def test_config_error_exit_code(tmp_path, capsys):
     bad.write_text("algo.variant = bogus\n")
     assert main(["run", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    "model.dims = 4,x", "model.boundaries = 1.5", "optimizer.reset_steps = 10,later",
+])
+def test_bad_integer_list_is_config_error(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(f"dataset.kind = synthetic_mlp\nalgo.variant = no_comp\n{line}\n")
+    assert main(["run", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "expected an integer" in err

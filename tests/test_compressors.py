@@ -143,6 +143,14 @@ class TestRandK:
         with pytest.raises(ContractViolation):
             comp.compress(comp.randk_spec(1), np.ones(3), rng=None)
 
+    def test_sparse_body_carries_the_drawn_coordinates(self):
+        # the stream draws coordinates 2, 4 and 7; two of them hold
+        # nonzeros, and the zero-valued pick must still travel as itself
+        x = np.array([0.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 3.0])
+        pay = comp.compress(comp.randk_spec(3), x, np.random.default_rng(1))
+        npt.assert_array_equal(pay.body.indices, [2, 4, 7])
+        npt.assert_array_equal(pay.body.values, [0.0, 5.0, 3.0])
+
 
 class TestUniformQuant:
     def test_scalar_grid_within_half_step(self):

@@ -89,6 +89,19 @@ class TestFStar:
         b = ds.compute_f_star(data)  # served from cache
         assert a == b
 
+    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "fstar"
+        monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(cache))
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(ds.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            ds.compute_f_star(ds.gen_logistic_dataset(64, 8, seed=11))
+        assert not list(cache.glob("fstar-*.json"))
+        assert not list(cache.iterdir())  # nor a stray temp file
+
     def test_budget_exhaustion_reports_gradient(self):
         data = ds.gen_logistic_dataset(64, 8, seed=12)
         with pytest.raises(ConfigurationError, match="gradient norm"):

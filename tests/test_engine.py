@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,8 @@ import pytest
 from clapping_sim import compressors as comp
 from clapping_sim import stages as st
 from clapping_sim.engine import (AQ_SGD, CLAPPING_FC, CLAPPING_FU, DIRECT, FORWARD_EF,
-                                 NO_COMP, AlgoConfig, PipelineEngine, StreamingInputs)
+                                 NO_COMP, VARIANT_POLICY, AlgoConfig, PipelineEngine,
+                                 StreamingInputs)
 from clapping_sim.errors import ConfigurationError, UnsupportedConfiguration
 from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig
 from clapping_sim.rng import named_stream
@@ -301,14 +304,18 @@ class TestAqsgd:
         npt.assert_allclose(eng.flat_weights(), ref.flat_weights(), rtol=0, atol=1e-13)
 
     def test_direct_step_call_touches_only_selected_rows(self):
+        # the per-sample variant runs the normal step; each step updates
+        # the cache entry of the row it sampled and no other
         eng, chain, X, init = self.make_engine(8, fwd=(comp.topk_spec(1),))
-        before = eng.aqsgd_cache[0].copy()
-        m = eng.aqsgd_step(np.array([3]), t=1)
-        after = eng.aqsgd_cache[0]
-        assert m.cache_entries == 8
-        assert not np.array_equal(after[3], before[3])
-        untouched = [i for i in range(8) if i != 3]
-        npt.assert_array_equal(after[untouched], before[untouched])
+        for _ in range(5):
+            before = eng.aqsgd_cache[0].copy()
+            m = eng.run_iteration()
+            row = eng.sampler.current[0]
+            after = eng.aqsgd_cache[0]
+            assert m.cache_entries == 8
+            assert not np.array_equal(after[row], before[row])
+            untouched = [i for i in range(8) if i != row]
+            npt.assert_array_equal(after[untouched], before[untouched])
 
     def test_streaming_inputs_rejected(self):
         chain = st.logistic_chain(4, 0.01)
@@ -373,6 +380,16 @@ class TestDiscardedWork:
 
 
 class TestMisc:
+    def test_readme_variant_table_matches_policy(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = {}
+        for line in readme.read_text().splitlines():
+            cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+            if len(cells) == 5 and cells[0] in VARIANT_POLICY:
+                fwd, bwd, lazy, fresh = cells[1:]
+                rows[cells[0]] = (fwd, bwd, lazy == "yes", fresh == "yes")
+        assert rows == {v: tuple(p) for v, p in VARIANT_POLICY.items()}
+
     def test_momentum_reset_clears_history(self, logistic_setup):
         chain, X, init = logistic_setup
         cfg = make_config(NO_COMP, chain, p=0.0, steps=2, resets=frozenset({2}))

@@ -1,6 +1,8 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from clapping_sim import compressors as comp
 from clapping_sim import wire
@@ -137,3 +139,53 @@ class TestTransferLedger:
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             wire.TransferLedger(bandwidth_bps=0.0)
+
+
+def _member(draw, kind, d):
+    if kind in (comp.TOPK, comp.RANDK):
+        return comp.CompressorSpec(kind, k=draw(hs.integers(1, d)))
+    if kind == comp.UNIFORM_QUANT:
+        return comp.quant_spec(draw(hs.integers(2, 9)))
+    if kind == comp.INJECT_UNIFORM:
+        return comp.inject_uniform_spec(0.3)
+    return comp.CompressorSpec(kind)
+
+
+@hs.composite
+def spec_and_batch(draw):
+    """A compressor (every kind, and compose with every last-member kind,
+    with at most one stochastic member) and a (B, d) batch that may hold
+    all-zero rows, so composed and sparse bodies can be empty."""
+    b, d = draw(hs.integers(1, 4)), draw(hs.integers(1, 10))
+    kinds = [k for k in comp.KINDS if k != comp.COMPOSE]
+    last = _member(draw, draw(hs.sampled_from(kinds)), d)
+    spec = last
+    if draw(hs.booleans()):
+        firsts = [k for k in kinds if not (last.stochastic and k in comp.STOCHASTIC_KINDS)]
+        spec = comp.compose_spec(_member(draw, draw(hs.sampled_from(firsts)), d), last)
+    value = hs.one_of(hs.just(0.0), hs.floats(-1e6, 1e6, allow_nan=False))
+    rows = [draw(hs.lists(value, min_size=d, max_size=d)) for _ in range(b)]
+    zero = draw(hs.lists(hs.booleans(), min_size=b, max_size=b))
+    x = np.array([[0.0] * d if z else r for r, z in zip(rows, zero)])
+    return spec, x
+
+
+class TestSizeFormula:
+    @given(spec_and_batch())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_sizes_equal_encoded_rows(self, case):
+        # one stream for the batch and an equally seeded one for the rows:
+        # with one stochastic member both draw the same numbers, so even
+        # stochastic reconstructions match row for row
+        spec, x = case
+        recon, nbytes, vbytes = comp.compress_batch(spec, x, np.random.default_rng(0))
+        row_rng = np.random.default_rng(0)
+        pays = [comp.compress(spec, row, row_rng) for row in x]
+        npt.assert_array_equal(recon, [p.reconstruction for p in pays])
+        encoded = [len(wire.encode_message(0, 0, 0, p.body)) - wire.HEADER_BYTES for p in pays]
+        assert nbytes == sum(encoded)
+        assert vbytes == sum(wire.value_only_size(p.body) for p in pays)
+        if spec.stochastic:
+            return
+        for row, pay, size in zip(x, pays, encoded):
+            assert comp.compress_batch(spec, row[None])[1:] == (size, pay.value_bytes)
