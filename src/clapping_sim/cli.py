@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from pathlib import Path
 
 from . import datasets as ds
 from . import harness
@@ -19,12 +19,10 @@ from .errors import ConfigurationError
 
 
 def _cmd_run(args) -> int:
-    cfg = harness.load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, algo=replace(cfg.algo, seed=args.seed))
-    if args.log_every is not None:
-        cfg = replace(cfg, log_every=args.log_every)
-    out = harness.run_experiment(cfg, args.out)
+    raw = harness.parse_config_text(Path(args.config).read_text())
+    flags = {"algo.seed": args.seed, "run.log_every": args.log_every}
+    raw.update((key, value) for key, value in flags.items() if value is not None)
+    out = harness.run_experiment(harness.config_from_mapping(raw), args.out)
     print(f"wrote {out}")
     return 0
 
@@ -67,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run an experiment config, write metrics CSV")
     p_run.add_argument("config")
-    p_run.add_argument("--seed", type=int, default=None)
+    p_run.add_argument("--seed", default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--log-every", type=int, default=None)
+    p_run.add_argument("--log-every", default=None)
     p_run.set_defaults(func=_cmd_run)
 
     p_fstar = sub.add_parser("fstar", help="compute the reference optimum for a config")

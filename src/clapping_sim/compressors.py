@@ -134,15 +134,18 @@ def inject_uniform_spec(amplitude: float) -> CompressorSpec:
     return CompressorSpec(INJECT_UNIFORM, amplitude=amplitude)
 
 
+def check_width(spec: CompressorSpec, dim: int, where: str = "compressor") -> None:
+    """Reject a top-k or rand-k member that keeps more than dim coordinates."""
+    for m in spec.inner if spec.kind == COMPOSE else (spec,):
+        if m.kind in (TOPK, RANDK) and m.k > dim:
+            raise ConfigurationError(f"{where}: {m.kind} k={m.k} exceeds input dimension {dim}")
+
+
 def _check_input(spec: CompressorSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ContractViolation("compressor input must be finite")
-    if spec.kind in (TOPK, RANDK) and spec.k > x.shape[-1]:
-        raise ConfigurationError(f"k={spec.k} exceeds input dimension {x.shape[-1]}")
-    if spec.kind == COMPOSE:
-        for m in spec.inner:
-            _check_input(m, x)
+    check_width(spec, x.shape[-1])
     return x
 
 
@@ -344,11 +347,10 @@ def contraction_bound(spec: CompressorSpec, dim: int) -> float:
     """
     if dim < 1:
         raise ConfigurationError("dim must be >= 1")
+    check_width(spec, dim)
     if spec.kind == IDENTITY:
         return 0.0
     if spec.kind in (TOPK, RANDK):
-        if spec.k > dim:
-            raise ConfigurationError(f"k={spec.k} exceeds dim {dim}")
         return 1.0 - spec.k / dim
     if spec.kind == UNIFORM_QUANT:
         levels = (1 << spec.bits) - 1

@@ -97,6 +97,8 @@ class AlgoConfig:
             raise ConfigurationError("batch_size must be >= 1 and total_steps >= 0")
         if self.batch_size > 1 and self.sampler_rule == SINGLE:
             raise ConfigurationError("batch_size > 1 needs a batch sampler rule")
+        if any(not 0.0 <= p <= 1.0 for _, p in self.p_schedule.table):
+            raise ConfigurationError("sampling.p: every entry must be in [0, 1]")
 
 
 @dataclass
@@ -132,6 +134,9 @@ class PipelineEngine:
         n_bound = chain.num_workers - 1
         if len(config.forward_compressors) != n_bound or len(config.backward_compressors) != n_bound:
             raise ConfigurationError(f"need one compressor per direction per {n_bound} boundaries")
+        for i, specs in enumerate(zip(config.forward_compressors, config.backward_compressors)):
+            for direction, spec in zip(("forward", "backward"), specs):
+                comp.check_width(spec, chain.boundary_dim(i), f"boundary {i} {direction}")
         self.chain = chain
         self.config = config
         self.freeze_weights = freeze_weights

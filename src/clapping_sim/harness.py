@@ -6,7 +6,9 @@ pairs starting at step 1. Compressors use a compact syntax:
 ``identity``, ``topk:K``, ``randk:K``, ``quant:BITS``, ``natural``,
 ``inject_uniform:A``, members joined by ``+`` compose left to right.
 ``compressor.forward`` / ``compressor.backward`` apply to every
-boundary; ``compressor.forward.N`` overrides boundary N.
+boundary; ``compressor.forward.N`` overrides boundary N. Each setting
+is read once, with its type and range, and a key that is not read is an
+error; the model kind follows from ``dataset.kind``.
 
 Metrics are CSV with columns
 ``step,loss,loss_gap,grad_norm,fwd_bytes,bwd_bytes,sim_seconds,f_fu``.
@@ -20,7 +22,9 @@ same config produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import difflib
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,47 +59,38 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def _get(raw: dict, key: str, default=None, required: bool = False) -> str:
-    if key in raw:
-        return raw[key]
-    if required:
-        raise ConfigurationError(f"{key}: missing required key")
-    return default
-
-
-def _parse_int(key: str, v) -> int:
+def _int(key: str, text: str) -> int:
     try:
-        return int(str(v))
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key}: expected an integer, got {v!r}") from None
+        return int(text)
+    except ValueError:
+        raise ConfigurationError(f"{key}: expected an integer, got {text!r}") from None
 
 
-def _as_int(raw: dict, key: str, default=None, required=False, minimum=None) -> int:
-    out = _parse_int(key, _get(raw, key, default, required))
-    if minimum is not None and out < minimum:
-        raise ConfigurationError(f"{key}: must be >= {minimum}, got {out}")
-    return out
+def _ints(key: str, text: str) -> tuple[int, ...]:
+    return tuple(_int(key, x) for x in text.split(","))
 
 
-def _as_ints(raw: dict, key: str, default: str) -> tuple[int, ...]:
-    return tuple(_parse_int(key, x) for x in str(_get(raw, key, default)).split(","))
+def _int_set(key: str, text: str) -> frozenset[int]:
+    return frozenset(_int(key, x) for x in text.split(",") if x.strip())
 
 
-def _as_float(raw: dict, key: str, default=None, required=False) -> float:
-    v = _get(raw, key, default, required)
+def _float(key: str, text: str) -> float:
     try:
-        return float(str(v))
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{key}: expected a number, got {v!r}") from None
+        out = float(text)
+        if math.isfinite(out):
+            return out
+    except ValueError:
+        pass
+    raise ConfigurationError(f"{key}: expected a finite number, got {text!r}")
 
 
-def _as_bool(raw: dict, key: str, default: bool) -> bool:
-    v = str(_get(raw, key, default)).strip().lower()
+def _bool(key: str, text: str) -> bool:
+    v = text.strip().lower()
     if v in ("true", "1", "yes", "on"):
         return True
     if v in ("false", "0", "no", "off"):
         return False
-    raise ConfigurationError(f"{key}: expected a boolean, got {v!r}")
+    raise ConfigurationError(f"{key}: expected a boolean, got {text!r}")
 
 
 def parse_schedule(key: str, text: str) -> Schedule:
@@ -155,7 +150,6 @@ class ExperimentConfig:
     noise_scale: float
     second_param_is_std: bool
     c_r: float
-    model_kind: str
     model_dims: tuple[int, ...]
     model_boundaries: tuple[int, ...]
     algo: AlgoConfig
@@ -165,85 +159,89 @@ class ExperimentConfig:
     output: str
 
 
+_MODEL_OF_DATASET = {"synthetic_logistic": "logistic", "synthetic_mlp": "tanh_mlp"}
+
+
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
-    dataset_kind = _get(raw, "dataset.kind", "synthetic_logistic")
-    if dataset_kind not in ("synthetic_logistic", "synthetic_mlp"):
-        raise ConfigurationError(f"dataset.kind: unknown dataset {dataset_kind!r}")
-    model_kind = _get(raw, "model.kind", "logistic" if dataset_kind == "synthetic_logistic" else "tanh_mlp")
-    if model_kind not in ("logistic", "tanh_mlp"):
-        raise ConfigurationError(f"model.kind: unknown model {model_kind!r}")
+    """Build a config from a flat key mapping (see the module docstring)."""
+    asked: set[str] = set()
 
-    dims = _as_ints(raw, "model.dims", "8,8") if model_kind == "tanh_mlp" else ()
-    bounds = _as_ints(raw, "model.boundaries", "2") if model_kind == "tanh_mlp" else ()
+    def read(key, parse=None, default=None, allowed=(), minimum=None, above=None):
+        """Parsed value of key (text if parse is None), or default (None: required)."""
+        asked.add(key)
+        if key not in raw:
+            if default is None:
+                raise ConfigurationError(f"{key}: missing required key")
+            return default
+        value = parse(key, str(raw[key])) if parse else str(raw[key])
+        if allowed and value not in allowed:
+            raise ConfigurationError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigurationError(f"{key}: must be >= {minimum}, got {value}")
+        if above is not None and value <= above:
+            raise ConfigurationError(f"{key}: must be > {above}, got {value}")
+        return value
 
-    variant = _get(raw, "algo.variant", required=True)
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"algo.variant: unknown variant {variant!r}")
-    rule = _get(raw, "algo.sampler_rule", None)
-    batch = _as_int(raw, "algo.batch_size", 1, minimum=1)
-    if rule is None:
-        rule = SINGLE if batch == 1 else BATCH_BATCHWISE
-    if rule not in RULES:
-        raise ConfigurationError(f"algo.sampler_rule: unknown rule {rule!r}")
+    dataset_kind = read("dataset.kind", default="synthetic_logistic", allowed=_MODEL_OF_DATASET)
+    model_kind = _MODEL_OF_DATASET[dataset_kind]
+    read("model.kind", default=model_kind, allowed=(model_kind,))
+    mlp = model_kind == "tanh_mlp"
+    dims = read("model.dims", _ints, (8, 8)) if mlp else ()
+    bounds = read("model.boundaries", _ints, (2,)) if mlp else ()
 
-    opt_kind = _get(raw, "optimizer.kind", MOMENTUM_SGD)
-    if opt_kind not in (MOMENTUM_SGD, ADAM):
-        raise ConfigurationError(f"optimizer.kind: unknown optimizer {opt_kind!r}")
+    batch = read("algo.batch_size", _int, 1, minimum=1)
     optimizer = OptimizerConfig(
-        kind=opt_kind,
-        gamma=parse_schedule("optimizer.gamma", _get(raw, "optimizer.gamma", "0.1")),
-        momentum=parse_schedule("optimizer.momentum", _get(raw, "optimizer.momentum", "0.1")),
-        beta2=_as_float(raw, "optimizer.beta2", 0.999),
-        eps=_as_float(raw, "optimizer.eps", 1e-8),
-    )
-    resets = frozenset(
-        _parse_int("optimizer.reset_steps", x)
-        for x in str(_get(raw, "optimizer.reset_steps", "")).split(",") if x.strip()
+        kind=read("optimizer.kind", default=MOMENTUM_SGD, allowed=(MOMENTUM_SGD, ADAM)),
+        gamma=read("optimizer.gamma", parse_schedule, Schedule.constant(0.1)),
+        momentum=read("optimizer.momentum", parse_schedule, Schedule.constant(0.1)),
+        beta2=read("optimizer.beta2", _float, 0.999),
+        eps=read("optimizer.eps", _float, 1e-8),
     )
 
     # one compressor per boundary per direction, with per-boundary overrides
-    if model_kind == "logistic":
-        n_bound = 1
-    else:
-        n_bound = len(bounds)
-    fwd, bwd = [], []
-    for i in range(n_bound):
-        fkey = f"compressor.forward.{i}"
-        bkey = f"compressor.backward.{i}"
-        fwd.append(parse_compressor(fkey, raw.get(fkey, _get(raw, "compressor.forward", "identity"))))
-        bwd.append(parse_compressor(bkey, raw.get(bkey, _get(raw, "compressor.backward", "identity"))))
+    fwd_all = read("compressor.forward", parse_compressor, comp.identity_spec())
+    bwd_all = read("compressor.backward", parse_compressor, comp.identity_spec())
+    n_bound = len(bounds) if mlp else 1
+    fwd = [read(f"compressor.forward.{i}", parse_compressor, fwd_all) for i in range(n_bound)]
+    bwd = [read(f"compressor.backward.{i}", parse_compressor, bwd_all) for i in range(n_bound)]
 
     algo = AlgoConfig(
-        variant=variant,
+        variant=read("algo.variant", allowed=VARIANTS),
         optimizer=optimizer,
         forward_compressors=tuple(fwd),
         backward_compressors=tuple(bwd),
         batch_size=batch,
-        total_steps=_as_int(raw, "algo.total_steps", 1000, minimum=0),
-        seed=_as_int(raw, "algo.seed", 0),
-        sampler_rule=rule,
-        p_schedule=parse_schedule("sampling.p", _get(raw, "sampling.p", "1.0")),
-        momentum_reset_steps=resets,
-        force_fresh_at_step_2=_as_bool(raw, "algo.force_fresh_step2", False),
+        total_steps=read("algo.total_steps", _int, 1000, minimum=0),
+        seed=read("algo.seed", _int, 0, minimum=0),
+        sampler_rule=read("algo.sampler_rule", default=SINGLE if batch == 1 else BATCH_BATCHWISE,
+                          allowed=RULES),
+        p_schedule=read("sampling.p", parse_schedule, Schedule.constant(1.0)),
+        momentum_reset_steps=read("optimizer.reset_steps", _int_set, frozenset()),
+        force_fresh_at_step_2=read("algo.force_fresh_step2", _bool, False),
     )
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         dataset_kind=dataset_kind,
-        dataset_n=_as_int(raw, "dataset.n", 1024, minimum=1),
-        dataset_dim=_as_int(raw, "dataset.dim", 200, minimum=1),
-        dataset_seed=_as_int(raw, "dataset.seed", 7),
-        feature_scale=_as_float(raw, "dataset.feature_scale", 0.5),
-        noise_scale=_as_float(raw, "dataset.noise_scale", 0.3),
-        second_param_is_std=_as_bool(raw, "dataset.second_param_is_std", False),
-        c_r=_as_float(raw, "dataset.c_r", 0.005),
-        model_kind=model_kind,
+        dataset_n=read("dataset.n", _int, 1024, minimum=1),
+        dataset_dim=read("dataset.dim", _int, 200, minimum=1),
+        dataset_seed=read("dataset.seed", _int, 7, minimum=0),
+        feature_scale=read("dataset.feature_scale", _float, 0.5, minimum=0.0),
+        noise_scale=read("dataset.noise_scale", _float, 0.3, minimum=0.0),
+        second_param_is_std=read("dataset.second_param_is_std", _bool, False),
+        c_r=read("dataset.c_r", _float, 0.005, minimum=0.0),
         model_dims=dims,
         model_boundaries=bounds,
         algo=algo,
-        bandwidth_bps=_as_float(raw, "run.bandwidth_bps", 100e6),
-        latency_s=_as_float(raw, "run.latency_s", 0.0),
-        log_every=_as_int(raw, "run.log_every", 100, minimum=1),
-        output=_get(raw, "run.output", "metrics.csv"),
+        bandwidth_bps=read("run.bandwidth_bps", _float, 100e6, above=0.0),
+        latency_s=read("run.latency_s", _float, 0.0, minimum=0.0),
+        log_every=read("run.log_every", _int, 100, minimum=1),
+        output=read("run.output", default="metrics.csv"),
     )
+    for key in raw:
+        if key not in asked:
+            close = difflib.get_close_matches(key, asked, n=1)
+            hint = f"; did you mean {close[0]}?" if close else ""
+            raise ConfigurationError(f"{key}: unknown or unused key{hint}")
+    return cfg
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -253,7 +251,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # -- run assembly ---------------------------------------------------------
 
 def build_problem(cfg: ExperimentConfig):
-    """Returns (chain, engine inputs, init weights, f_star or None)."""
+    """Returns (chain, engine inputs, init weights, logistic dataset or None)."""
     if cfg.dataset_kind == "synthetic_logistic":
         data = ds.gen_logistic_dataset(
             cfg.dataset_n, cfg.dataset_dim, cfg.dataset_seed,
@@ -286,11 +284,10 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    full_inputs = inputs if not hasattr(inputs, "draw") else None
     for t in range(1, cfg.algo.total_steps + 1):
         metrics = engine.run_iteration()
         if t % cfg.log_every == 0 or t == cfg.algo.total_steps:
-            loss, gnorm = _exact_objective(chain, full_inputs, engine)
+            loss, gnorm = _exact_objective(chain, inputs, engine)
             writer.writerow([
                 t, repr(loss), repr(loss - f_star), repr(gnorm),
                 engine.ledger.total_bytes(0), engine.ledger.total_bytes(1),
@@ -301,12 +298,9 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     return out
 
 
-def _exact_objective(chain, full_inputs, engine):
-    if full_inputs is None:
-        return float("nan"), float("nan")
-    loss, grads, _ = st.chain_gradients(chain, full_inputs, engine.per_stage_weights())
-    gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
-    return loss, gnorm
+def _exact_objective(chain, inputs, engine):
+    loss, grads, _ = st.chain_gradients(chain, inputs, engine.per_stage_weights())
+    return loss, float(np.sqrt(sum(float(g @ g) for g in grads)))
 
 
 def read_metrics(path: str | Path) -> dict[str, np.ndarray]:

@@ -36,14 +36,14 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.kind not in (MOMENTUM_SGD, ADAM):
             raise ConfigurationError(f"unknown optimizer {self.kind!r}")
-        if any(v <= 0 for _, v in self.gamma.table):
-            raise ConfigurationError("step sizes must be positive")
+        if any(not 0.0 < v < np.inf for _, v in self.gamma.table):
+            raise ConfigurationError("optimizer.gamma: step sizes must be positive and finite")
         if any(not 0.0 < v <= 1.0 for _, v in self.momentum.table):
-            raise ConfigurationError("momentum coefficients must be in (0, 1]")
+            raise ConfigurationError("optimizer.momentum: coefficients must be in (0, 1]")
         if self.kind == ADAM and not 0.0 < self.beta2 < 1.0:
-            raise ConfigurationError("beta2 must be in (0, 1)")
+            raise ConfigurationError("optimizer.beta2: must be in (0, 1)")
         if self.kind == ADAM and self.eps <= 0.0:
-            raise ConfigurationError("eps must be positive")
+            raise ConfigurationError("optimizer.eps: must be positive")
 
 
 def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, gamma: float):

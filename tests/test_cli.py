@@ -84,3 +84,39 @@ def test_bad_integer_list_is_config_error(tmp_path, capsys, line):
     assert main(["run", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "expected an integer" in err
+
+
+SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 1\n"
+
+
+@pytest.mark.parametrize("lines, flags, names", [
+    ("algo.variant = clapping_fu\nsampling.P = 0.5", [], "sampling.P"),
+    ("algo.variant = no_comp\nmodel.kind = tanh_mlp", [], "model.kind"),
+    ("algo.variant = no_comp\ndataset.kind = synthetic_mlp\nmodel.kind = logistic", [],
+     "model.kind"),
+    ("algo.variant = no_comp\nmodel.dims = 4,4", [], "model.dims"),
+    ("algo.variant = no_comp\ncompressor.forward.3 = topk:1", [], "compressor.forward.3"),
+    ("algo.variant = no_comp\nsampling.p = 2", [], "sampling.p"),
+    ("algo.variant = no_comp", ["--log-every", "0"], "run.log_every"),
+    ("algo.variant = no_comp", ["--log-every", "-2"], "run.log_every"),
+    ("algo.variant = no_comp", ["--seed", "-1"], "algo.seed"),
+    ("algo.variant = no_comp\nalgo.seed = -1", [], "algo.seed"),
+    ("algo.variant = no_comp\ndataset.seed = -3", [], "dataset.seed"),
+    ("algo.variant = no_comp\nrun.latency_s = -1", [], "run.latency_s"),
+    ("algo.variant = no_comp\nrun.bandwidth_bps = nan", [], "run.bandwidth_bps"),
+    ("algo.variant = no_comp\nrun.bandwidth_bps = 0", [], "run.bandwidth_bps"),
+    ("algo.variant = no_comp\ndataset.c_r = -1", [], "dataset.c_r"),
+    ("algo.variant = no_comp\ndataset.feature_scale = -1", [], "dataset.feature_scale"),
+    ("algo.variant = no_comp\ndataset.noise_scale = -1", [], "dataset.noise_scale"),
+    ("algo.variant = no_comp\noptimizer.gamma = nan", [], "optimizer.gamma"),
+    ("algo.variant = no_comp\noptimizer.gamma = inf", [], "optimizer.gamma"),
+    ("algo.variant = no_comp\noptimizer.momentum = 2", [], "optimizer.momentum"),
+    ("algo.variant = no_comp\ncompressor.forward = topk:500", [], "boundary 0 forward"),
+])
+def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, names):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(SMALL + lines + "\n")
+    assert main(["run", str(bad), "--out", str(tmp_path / "m.csv")] + flags) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {names}")
+    assert not (tmp_path / "m.csv").exists()

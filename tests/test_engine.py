@@ -420,6 +420,24 @@ class TestMisc:
         with pytest.raises(ConfigurationError):
             PipelineEngine(chain, bad, X)
 
+    @pytest.mark.parametrize("variant", list(VARIANT_POLICY))
+    def test_compressor_wider_than_its_boundary_rejected_at_build(self, variant):
+        chain = st.tanh_mlp_chain((3, 5, 4), (2,))
+        wide = comp.topk_spec(chain.boundary_dim(0) + 1)
+        X = np.zeros((4, chain.input_dim))
+        with pytest.raises(ConfigurationError, match="boundary 0 forward.*k=6"):
+            PipelineEngine(chain, make_config(variant, chain, fwd=(wide,)), X)
+        member = comp.compose_spec(comp.randk_spec(6), comp.natural_spec())
+        with pytest.raises(ConfigurationError, match="boundary 0 backward.*randk k=6"):
+            PipelineEngine(chain, make_config(variant, chain, bwd=(member,)), X)
+        PipelineEngine(chain, make_config(variant, chain, fwd=(comp.topk_spec(5),)), X)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+    def test_refresh_probability_outside_unit_interval_rejected(self, logistic_setup, p):
+        chain, _, _ = logistic_setup
+        with pytest.raises(ConfigurationError, match="sampling.p"):
+            make_config(NO_COMP, chain, p=p)
+
     def test_ledger_accumulates_sim_time(self, logistic_setup):
         chain, X, init = logistic_setup
         eng = PipelineEngine(chain, make_config(NO_COMP, chain, steps=4), X,

@@ -1,8 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from clapping_sim import harness as H
 from clapping_sim.errors import ConfigurationError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 CONFIG_TEXT = """
 # minimal logistic run
@@ -66,6 +71,37 @@ class TestConfigParsing:
     def test_bad_schedule_entry(self):
         with pytest.raises(ConfigurationError, match="optimizer.gamma"):
             H.parse_schedule("optimizer.gamma", "1:0.1,oops")
+
+    def test_unknown_key_suggests_the_closest_read_key(self):
+        raw = H.parse_config_text(CONFIG_TEXT)
+        raw["sampling.P"] = "0.5"
+        with pytest.raises(ConfigurationError,
+                           match=r"^sampling\.P: unknown or unused key; did you mean sampling\.p\?$"):
+            H.config_from_mapping(raw)
+
+    def test_model_kind_may_restate_the_dataset_model(self):
+        # the form the benchmark's MLP workload writes
+        cfg = H.config_from_mapping({
+            "dataset.kind": "synthetic_mlp", "model.kind": "tanh_mlp",
+            "model.dims": "4,5,3", "model.boundaries": "2,4", "algo.variant": "clapping_fc",
+        })
+        assert cfg.model_dims == (4, 5, 3) and len(cfg.algo.forward_compressors) == 2
+
+
+class TestReadme:
+    def test_config_example_reads_without_unknown_keys(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        cfg = H.config_from_mapping(H.parse_config_text(block))
+        assert cfg == H.logistic_benchmark_config("clapping_fu")
+
+    def test_documented_defaults_match_the_reader(self):
+        rows = re.findall(r"^\| `([a-z_0-9.]+)` \| `([^`]+)` \|", README.read_text(), re.M)
+        assert len(rows) >= 25
+        for key, default in rows:
+            base = {"algo.variant": "no_comp"}
+            if key.startswith("model."):
+                base["dataset.kind"] = "synthetic_mlp"
+            assert H.config_from_mapping({**base, key: default}) == H.config_from_mapping(base), key
 
 
 class TestRunExperiment:

@@ -3,8 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from clapping_sim.errors import ConfigurationError
-from clapping_sim.optim import adam_update, momentum_update
+from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from clapping_sim.rng import named_stream
+from clapping_sim.sampling import Schedule
 
 
 class TestMomentum:
@@ -50,6 +51,13 @@ class TestMomentum:
             momentum_update(np.zeros(1), np.zeros(1), np.zeros(1), 0.0, 0.1)
         with pytest.raises(ConfigurationError):
             momentum_update(np.zeros(1), np.zeros(1), np.zeros(1), 0.5, 0.0)
+
+
+class TestOptimizerConfig:
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 0.0, -0.1])
+    def test_step_sizes_must_be_positive_and_finite(self, gamma):
+        with pytest.raises(ConfigurationError, match="optimizer.gamma"):
+            OptimizerConfig(MOMENTUM_SGD, gamma=Schedule(((1, 0.1), (5, gamma))))
 
 
 class TestAdam:
