@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import datasets as ds
 from . import harness
@@ -19,7 +18,7 @@ from .errors import ConfigurationError
 
 
 def _cmd_run(args) -> int:
-    raw = harness.parse_config_text(Path(args.config).read_text())
+    raw = harness.read_config_file(args.config)
     flags = {"algo.seed": args.seed, "run.log_every": args.log_every}
     raw.update((key, value) for key, value in flags.items() if value is not None)
     out = harness.run_experiment(harness.config_from_mapping(raw), args.out)

@@ -90,7 +90,7 @@ def gen_logistic_dataset(
 
 def dataset_objective(dataset: LogisticDataset, chain: st.ModelChain, w_all: list[np.ndarray]):
     """(full-dataset loss, gradient per stage) at the given weights."""
-    return st.chain_gradients(chain, dataset.chain_inputs(), w_all)[:2]
+    return st.chain_gradients(chain, dataset.chain_inputs(), w_all)
 
 
 def _curvature_bound(x_rows: np.ndarray, c_r: float) -> float:
@@ -140,7 +140,7 @@ def compute_f_star(
     w_all = [np.zeros(s.param_dim) for s in chain.stages]
     loss = np.inf
     for it in range(max_iters):
-        loss, grads, _ = st.chain_gradients(chain, x_rows, w_all)
+        loss, grads = st.chain_gradients(chain, x_rows, w_all)
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
         if gnorm <= grad_tol:
             break

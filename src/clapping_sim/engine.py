@@ -32,7 +32,7 @@ from . import compressors as comp
 from . import stages as st
 from . import wire
 from .errors import ConfigurationError, ContractViolation, UnsupportedConfiguration
-from .optim import MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
+from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from .rng import named_stream
 from .sampling import SINGLE, SamplerState, Schedule, lazy_sample
 
@@ -96,9 +96,23 @@ class AlgoConfig:
         if self.batch_size < 1 or self.total_steps < 0:
             raise ConfigurationError("batch_size must be >= 1 and total_steps >= 0")
         if self.batch_size > 1 and self.sampler_rule == SINGLE:
-            raise ConfigurationError("batch_size > 1 needs a batch sampler rule")
+            raise ConfigurationError(
+                f"algo.batch_size: {self.batch_size} needs a batch sampler rule, "
+                f"not algo.sampler_rule = {SINGLE}"
+            )
         if any(not 0.0 <= p <= 1.0 for _, p in self.p_schedule.table):
             raise ConfigurationError("sampling.p: every entry must be in [0, 1]")
+
+
+class WorkerPlan(NamedTuple):
+    """One worker compiled at engine init: its stages, each stage's
+    parameters as a view into the worker's flat weight vector, and a
+    flat gradient buffer with one view per stage."""
+
+    stages: tuple[st.StageSpec, ...]
+    params: list[np.ndarray]
+    grad: np.ndarray
+    stage_grads: list[np.ndarray]
 
 
 @dataclass
@@ -193,7 +207,15 @@ class PipelineEngine:
                 w = np.zeros(d)
             self.weights.append(w)
         self.momentum = [np.zeros_like(w) for w in self.weights]
-        self.second_moment = [np.zeros_like(w) for w in self.weights]
+        self.second_moment = (
+            [np.zeros_like(w) for w in self.weights] if config.optimizer.kind == ADAM else []
+        )
+        self.plans: list[WorkerPlan] = []
+        for e, w in enumerate(self.weights, start=1):
+            stages = chain.worker_stages(e)
+            grad = np.zeros_like(w)
+            self.plans.append(WorkerPlan(stages, chain.split_params(stages, w), grad,
+                                         chain.split_params(stages, grad)))
 
         B = self.B
         self.fwd_cache_send = [np.zeros((B, chain.boundary_dim(i))) for i in range(n_bound)]
@@ -216,10 +238,8 @@ class PipelineEngine:
         return np.concatenate(self.weights)
 
     def per_stage_weights(self) -> list[np.ndarray]:
-        out = []
-        for e in range(1, self.E + 1):
-            out.extend(self.chain.split_params(self.chain.worker_stages(e), self.weights[e - 1]))
-        return out
+        """Views of the live weights, one per stage."""
+        return [w for plan in self.plans for w in plan.params]
 
     def aqsgd_cache_entries(self) -> list[int]:
         if self.aqsgd_cache is None:
@@ -246,24 +266,24 @@ class PipelineEngine:
     def _worker_forward(self, e: int, y_in: np.ndarray) -> list[np.ndarray]:
         """Forward through worker e's stages; returns [input, each stage
         output]. Each stage's input is the tape the backward pass reads."""
-        stages = self.chain.worker_stages(e)
-        return st.run_stages(stages, y_in, self.chain.split_params(stages, self.weights[e - 1]))
+        plan = self.plans[e - 1]
+        return st.run_stages(plan.stages, y_in, plan.params)
 
     def _worker_backward(self, e: int, tape: list[np.ndarray], v_out: np.ndarray):
-        """Backward through worker e; returns (weight grad averaged over
-        the batch, input activation gradient rows). Worker 1's input is
-        the data rows, which nothing differentiates, so it returns None
-        there instead of computing that adjoint."""
-        stages = self.chain.worker_stages(e)
-        params = self.chain.split_params(stages, self.weights[e - 1])
+        """Backward through worker e, consuming its tape; returns (weight
+        grad averaged over the batch, in the worker's gradient buffer;
+        input activation gradient rows). Worker 1's input is the data
+        rows, which nothing differentiates, so it returns None there
+        instead of computing that adjoint."""
+        plan = self.plans[e - 1]
         v = v_out
-        grads = [np.zeros(0)] * len(stages)
-        for idx in reversed(range(len(stages))):
-            grads[idx] = st.stage_backward_weight(stages[idx], tape[idx], params[idx], v)
+        for idx in reversed(range(len(plan.stages))):
+            stage, w, y = plan.stages[idx], plan.params[idx], tape.pop()
+            st.stage_backward_weight(stage, y, w, v, out=plan.stage_grads[idx])
             if idx > 0 or e > 1:
-                v = st.stage_backward_input(stages[idx], tape[idx], params[idx], v)
-        u = np.concatenate(grads) if grads else np.zeros(0)
-        return u / self.B, (v if e > 1 else None)
+                v = st.stage_backward_input(stage, y, w, v)
+        np.divide(plan.grad, self.B, out=plan.grad)
+        return plan.grad, (v if e > 1 else None)
 
     # -- exchanges -------------------------------------------------------
 
@@ -309,8 +329,8 @@ class PipelineEngine:
         else:
             recon, nbytes, value_bytes = _ef_update(spec, x, send[i], rng)
 
-        send[i] = recon.copy()
-        recv[i] = recon.copy()
+        np.copyto(send[i], recon)
+        np.copyto(recv[i], recon)
         self.ledger.record(i, direction, nbytes, value_bytes)
         self._assert_mirrored(i)
         return recon
@@ -347,7 +367,7 @@ class PipelineEngine:
         v = np.ones((self.B, 1))
         u_sq = 0.0
         for e in range(self.E, 0, -1):
-            u_e, v_in = self._worker_backward(e, tapes[e - 1], v)
+            u_e, v_in = self._worker_backward(e, tapes.pop(), v)
             self._update_worker(e, u_e, gamma, m_t)
             u_sq += float(self.momentum[e - 1] @ self.momentum[e - 1])
             if e > 1:
@@ -373,15 +393,12 @@ class PipelineEngine:
         i = e - 1
         if len(grad) == 0:
             return
+        # in place: the plan's parameter views stay valid
         if opt.kind == MOMENTUM_SGD:
-            self.momentum[i], self.weights[i] = momentum_update(
-                self.momentum[i], self.weights[i], grad, m_t, gamma
-            )
+            momentum_update(self.momentum[i], self.weights[i], grad, m_t, gamma)
         else:
-            self.momentum[i], self.second_moment[i], self.weights[i] = adam_update(
-                self.momentum[i], self.second_moment[i], self.weights[i], grad,
-                m_t, opt.beta2, opt.eps, gamma,
-            )
+            adam_update(self.momentum[i], self.second_moment[i], self.weights[i], grad,
+                        m_t, opt.beta2, opt.eps, gamma)
 
     def run(self, steps: int | None = None) -> list[IterationMetrics]:
         steps = self.config.total_steps if steps is None else steps

@@ -144,12 +144,7 @@ class ExperimentConfig:
 
     dataset_kind: str
     dataset_n: int
-    dataset_dim: int
     dataset_seed: int
-    feature_scale: float
-    noise_scale: float
-    second_param_is_std: bool
-    c_r: float
     model_dims: tuple[int, ...]
     model_boundaries: tuple[int, ...]
     algo: AlgoConfig
@@ -157,6 +152,12 @@ class ExperimentConfig:
     latency_s: float
     log_every: int
     output: str
+    # the logistic dataset and its model; the MLP dataset reads none of these
+    dataset_dim: int = 200
+    feature_scale: float = 0.5
+    noise_scale: float = 0.3
+    second_param_is_std: bool = False
+    c_r: float = 0.005
 
 
 _MODEL_OF_DATASET = {"synthetic_logistic": "logistic", "synthetic_mlp": "tanh_mlp"}
@@ -176,7 +177,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         value = parse(key, str(raw[key])) if parse else str(raw[key])
         if allowed and value not in allowed:
             raise ConfigurationError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
-        if minimum is not None and value < minimum:
+        if minimum is not None and min(value if isinstance(value, tuple) else (value,)) < minimum:
             raise ConfigurationError(f"{key}: must be >= {minimum}, got {value}")
         if above is not None and value <= above:
             raise ConfigurationError(f"{key}: must be > {above}, got {value}")
@@ -186,7 +187,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     model_kind = _MODEL_OF_DATASET[dataset_kind]
     read("model.kind", default=model_kind, allowed=(model_kind,))
     mlp = model_kind == "tanh_mlp"
-    dims = read("model.dims", _ints, (8, 8)) if mlp else ()
+    dims = read("model.dims", _ints, (8, 8), minimum=1) if mlp else ()
     bounds = read("model.boundaries", _ints, (2,)) if mlp else ()
 
     batch = read("algo.batch_size", _int, 1, minimum=1)
@@ -219,15 +220,23 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         momentum_reset_steps=read("optimizer.reset_steps", _int_set, frozenset()),
         force_fresh_at_step_2=read("algo.force_fresh_step2", _bool, False),
     )
-    cfg = ExperimentConfig(
-        dataset_kind=dataset_kind,
-        dataset_n=read("dataset.n", _int, 1024, minimum=1),
+    logistic = {} if mlp else dict(
         dataset_dim=read("dataset.dim", _int, 200, minimum=1),
-        dataset_seed=read("dataset.seed", _int, 7, minimum=0),
         feature_scale=read("dataset.feature_scale", _float, 0.5, minimum=0.0),
         noise_scale=read("dataset.noise_scale", _float, 0.3, minimum=0.0),
         second_param_is_std=read("dataset.second_param_is_std", _bool, False),
         c_r=read("dataset.c_r", _float, 0.005, minimum=0.0),
+    )
+    n = read("dataset.n", _int, 1024, minimum=1)
+    if algo.sampler_rule == BATCH_BATCHWISE and batch > n:
+        raise ConfigurationError(
+            f"algo.batch_size: {batch} exceeds the {n}-sample dataset, which "
+            f"{BATCH_BATCHWISE} draws without replacement"
+        )
+    cfg = ExperimentConfig(
+        dataset_kind=dataset_kind,
+        dataset_n=n,
+        dataset_seed=read("dataset.seed", _int, 7, minimum=0),
         model_dims=dims,
         model_boundaries=bounds,
         algo=algo,
@@ -235,6 +244,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         latency_s=read("run.latency_s", _float, 0.0, minimum=0.0),
         log_every=read("run.log_every", _int, 100, minimum=1),
         output=read("run.output", default="metrics.csv"),
+        **logistic,
     )
     for key in raw:
         if key not in asked:
@@ -244,8 +254,18 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     return cfg
 
 
+def read_config_file(path: str | Path) -> dict[str, str]:
+    """The key mapping of a config file; an unreadable file is a config error."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise ConfigurationError(f"{path}: cannot read config file ({reason})") from None
+    return parse_config_text(text)
+
+
 def load_config(path: str | Path) -> ExperimentConfig:
-    return config_from_mapping(parse_config_text(Path(path).read_text()))
+    return config_from_mapping(read_config_file(path))
 
 
 # -- run assembly ---------------------------------------------------------
@@ -274,11 +294,12 @@ def build_problem(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Path:
     """Run the configured experiment and write the metrics CSV."""
     chain, inputs, init, data = build_problem(cfg)
-    f_star = ds.compute_f_star(data, chain) if data is not None else 0.0
     engine = PipelineEngine(
         chain, cfg.algo, inputs, init_weights=init,
         bandwidth_bps=cfg.bandwidth_bps, latency_s=cfg.latency_s,
     )
+    del init  # the engine holds its own copy
+    f_star = ds.compute_f_star(data, chain) if data is not None else 0.0
     out = Path(out_path) if out_path is not None else Path(cfg.output)
 
     buf = io.StringIO()
@@ -299,7 +320,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
 
 
 def _exact_objective(chain, inputs, engine):
-    loss, grads, _ = st.chain_gradients(chain, inputs, engine.per_stage_weights())
+    loss, grads = st.chain_gradients(chain, inputs, engine.per_stage_weights())
     return loss, float(np.sqrt(sum(float(g @ g) for g in grads)))
 
 

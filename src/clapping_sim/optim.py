@@ -47,30 +47,45 @@ class OptimizerConfig:
 
 
 def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, gamma: float):
-    """One momentum-SGD update; returns (new_u, new_w)."""
+    """One momentum-SGD update, in place: u and w receive the new values
+    and grad is consumed as scratch. Returns (u, w)."""
     if not 0.0 < m_t <= 1.0 or gamma <= 0.0:
         raise ConfigurationError("need m_t in (0, 1] and gamma > 0")
     # (1 - m_t) * u + m_t * grad, then w - gamma * u_new, in that order
-    # (so in the same bits), with the second array reused as scratch
-    u_new = np.multiply(u, 1.0 - m_t)
-    w_new = np.multiply(grad, m_t)
-    u_new += w_new
-    np.multiply(u_new, gamma, out=w_new)
-    np.subtract(w, w_new, out=w_new)
-    return u_new, w_new
+    # (so in the same bits as the textbook expression)
+    u *= 1.0 - m_t
+    grad *= m_t
+    u += grad
+    np.multiply(u, gamma, out=grad)
+    w -= grad
+    return u, w
 
 
 def adam_update(
     u: np.ndarray, s: np.ndarray, w: np.ndarray, grad: np.ndarray,
     beta1: float, beta2: float, eps: float, gamma: float,
 ):
-    """One Adam-style update without bias correction; returns (u, s, w).
+    """One Adam-style update without bias correction, in place: u, s and
+    w receive the new values and grad is consumed as scratch. Returns
+    (u, s, w).
 
     Accepts degenerate beta = 1 or eps = 0 so single-step reductions can
     be exercised directly; run-level configs enforce the open ranges.
     """
     if gamma <= 0.0 or eps < 0.0 or not (0.0 < beta1 <= 1.0 and 0.0 < beta2 <= 1.0):
         raise ConfigurationError("need gamma > 0, eps >= 0, betas in (0, 1]")
-    u_new = (1.0 - beta1) * u + beta1 * grad
-    s_new = (1.0 - beta2) * s + beta2 * grad**2
-    return u_new, s_new, w - gamma * u_new / np.sqrt(s_new + eps)
+    # the textbook expressions, operation for operation:
+    # u = (1 - b1) u + b1 g, s = (1 - b2) s + b2 g**2, w - gamma u / sqrt(s + eps)
+    step = np.multiply(grad, beta1)
+    u *= 1.0 - beta1
+    u += step
+    np.square(grad, out=grad)
+    grad *= beta2
+    s *= 1.0 - beta2
+    s += grad
+    np.add(s, eps, out=grad)
+    np.sqrt(grad, out=grad)
+    np.multiply(u, gamma, out=step)
+    step /= grad
+    w -= step
+    return u, s, w

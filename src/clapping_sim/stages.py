@@ -166,39 +166,47 @@ def stage_backward_input(
 
 
 def stage_backward_weight(
-    stage: StageSpec, y_in: np.ndarray, w: np.ndarray, v_out: np.ndarray
+    stage: StageSpec, y_in: np.ndarray, w: np.ndarray, v_out: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Adjoint with respect to the parameters: J_w(a_e)^T v_out.
 
     For a batch input the per-sample weight gradients are summed; callers
-    average by batch size themselves.
+    average by batch size themselves. With ``out`` (a contiguous float64
+    vector of ``param_dim`` entries) the result is written there and
+    ``out`` is returned.
     """
     y = _check_vec("y_in", y_in, stage.input_dim)
     v = _check_vec("v_out", v_out, stage.output_dim)
+    if out is None:
+        out = np.empty(stage.param_dim)
     if stage.param_dim == 0:
-        return np.zeros(0)
+        return out
     w = _check_params(w, stage.param_dim)
     batched = y.ndim == 2
     if stage.kind == LINEAR:
         rows = stage.matrix_rows
-        v_mat = v[..., :rows]
-        if batched:
-            grad_mat = v_mat.T @ y
-        else:
-            grad_mat = np.outer(v_mat, y)
-        grad = grad_mat.reshape(-1)
+        _outer_sum(v[..., :rows], y, batched, out.reshape(rows, stage.input_dim))
         if stage.extra.get("append_sq_norm", False):
             v_sq = v[..., rows].sum() if batched else v[..., rows]
-            grad = grad + 2.0 * float(v_sq) * w
-        return grad
+            out += 2.0 * float(v_sq) * w
+        return out
     # affine_bias
+    n_mat = stage.output_dim * stage.input_dim
+    _outer_sum(v, y, batched, out[:n_mat].reshape(stage.output_dim, stage.input_dim))
     if batched:
-        grad_mat = v.T @ y
-        grad_bias = v.sum(axis=0)
+        v.sum(axis=0, out=out[n_mat:])
     else:
-        grad_mat = np.outer(v, y)
-        grad_bias = v
-    return np.concatenate([grad_mat.reshape(-1), grad_bias])
+        out[n_mat:] = v
+    return out
+
+
+def _outer_sum(v: np.ndarray, y: np.ndarray, batched: bool, out: np.ndarray) -> None:
+    """out <- sum over the batch of outer(v, y)."""
+    if batched:
+        np.matmul(v.T, y, out=out)
+    else:
+        np.outer(v, y, out=out)
 
 
 @dataclass(frozen=True)
@@ -307,24 +315,26 @@ def tanh_mlp_chain(dims: tuple[int, ...], boundaries: tuple[int, ...]) -> ModelC
 
 def chain_gradients(
     chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+) -> tuple[float, list[np.ndarray]]:
     """Full backpropagation through the chain.
 
-    Returns (loss, weight gradients per stage, activation gradients per
-    stage output). The terminal activation gradient is seeded with 1; for
-    batch inputs gradients are averaged over the batch. The gradient with
-    respect to the chain input is not returned, so it is not computed.
+    Returns (loss, weight gradient per stage). The terminal activation
+    gradient is seeded with 1; for batch inputs gradients are averaged
+    over the batch. Activation gradients are not kept: each is dropped
+    once the next one down is formed, each stage input once its stage's
+    backward has run, and the gradient with respect to the chain input is
+    not computed.
     """
     ys = chain_forward(chain, x, w_all)
     batched = ys[0].ndim == 2
     scale = 1.0 / ys[0].shape[0] if batched else 1.0
-    v = np.ones_like(ys[-1])
+    loss = float(np.mean(ys[-1]))
+    v = np.ones_like(ys.pop())
     u_all: list[np.ndarray] = [np.zeros(0)] * len(chain.stages)
-    v_all: list[np.ndarray] = [np.zeros(0)] * len(chain.stages)
     for i in reversed(range(len(chain.stages))):
-        stage, w = chain.stages[i], w_all[i]
-        v_all[i] = v * scale
-        u_all[i] = stage_backward_weight(stage, ys[i], w, v) * scale
+        stage, w, y = chain.stages[i], w_all[i], ys.pop()
+        u_all[i] = stage_backward_weight(stage, y, w, v)
+        u_all[i] *= scale
         if i > 0:
-            v = stage_backward_input(stage, ys[i], w, v)
-    return float(np.mean(ys[-1])), u_all, v_all
+            v = stage_backward_input(stage, y, w, v)
+    return loss, u_all

@@ -143,7 +143,7 @@ def check_chain_gradients(
         for _ in range(chain_trials):
             w_all = [0.6 * rng.standard_normal(s.param_dim) for s in ch.stages]
             x = rng.standard_normal(ch.input_dim)
-            _, u_all, v_all = st.chain_gradients(ch, x, w_all)
+            _, u_all = st.chain_gradients(ch, x, w_all)
             # weight gradients against finite differences of the scalar loss
             for si, w in enumerate(w_all):
                 if not len(w):
@@ -160,8 +160,13 @@ def check_chain_gradients(
                 if err > worst:
                     worst = err
                     diags = [f"worst chain case: stage {si} err={err:.3e}"]
-            # activation gradients against finite differences over y_e
+            # activation gradients against finite differences over y_e;
+            # v_all[si] is the adjoint of stage si's output, pulled back
+            # from the loss one stage at a time
             ys = st.chain_forward(ch, x, w_all)
+            v_all = [np.ones_like(ys[-1])]
+            for sj in reversed(range(1, len(ch.stages))):
+                v_all.insert(0, st.stage_backward_input(ch.stages[sj], ys[sj], w_all[sj], v_all[0]))
             for si in range(len(ch.stages) - 1):
                 y_e = ys[si + 1]
                 fd = np.zeros_like(y_e)

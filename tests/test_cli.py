@@ -68,6 +68,14 @@ def test_mem_calc_subcommand(capsys):
     assert "batch-cache overhead" in out and "per-sample-cache overhead" in out
 
 
+@pytest.mark.parametrize("command", ["run", "fstar"])
+def test_missing_config_file_is_one_config_error_line(tmp_path, capsys, command):
+    missing = tmp_path / "nope.cfg"
+    assert main([command, str(missing)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {missing}: cannot read")
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("algo.variant = bogus\n")
@@ -112,6 +120,14 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
     ("algo.variant = no_comp\noptimizer.gamma = inf", [], "optimizer.gamma"),
     ("algo.variant = no_comp\noptimizer.momentum = 2", [], "optimizer.momentum"),
     ("algo.variant = no_comp\ncompressor.forward = topk:500", [], "boundary 0 forward"),
+    ("algo.variant = no_comp\ndataset.kind = synthetic_mlp", [], "dataset.dim"),
+    ("algo.variant = no_comp\ndataset.kind = synthetic_mlp\nmodel.dims = 4,0", [],
+     "model.dims"),
+    ("algo.variant = no_comp\nalgo.batch_size = 4000", [], "algo.batch_size"),
+    ("algo.variant = clapping_fu\nalgo.batch_size = 17\nalgo.sampler_rule = batch_batchwise",
+     [], "algo.batch_size"),
+    ("algo.variant = no_comp\nalgo.batch_size = 4\nalgo.sampler_rule = single", [],
+     "algo.batch_size"),
 ])
 def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, names):
     bad = tmp_path / "bad.cfg"

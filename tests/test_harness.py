@@ -87,6 +87,15 @@ class TestConfigParsing:
         })
         assert cfg.model_dims == (4, 5, 3) and len(cfg.algo.forward_compressors) == 2
 
+    @pytest.mark.parametrize("key, value", [
+        ("dataset.dim", "64"), ("dataset.c_r", "3"), ("dataset.feature_scale", "0.5"),
+        ("dataset.noise_scale", "0.3"), ("dataset.second_param_is_std", "true"),
+    ])
+    def test_logistic_only_keys_are_unknown_on_the_mlp_dataset(self, key, value):
+        raw = {"dataset.kind": "synthetic_mlp", "algo.variant": "no_comp", key: value}
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}: unknown or unused key"):
+            H.config_from_mapping(raw)
+
 
 class TestReadme:
     def test_config_example_reads_without_unknown_keys(self):
@@ -127,6 +136,17 @@ class TestRunExperiment:
         assert np.all(cols["loss_gap"] >= -1e-9)
         assert np.all(cols["fwd_bytes"] >= 0) and np.all(cols["bwd_bytes"] >= 0)
         assert np.all(np.diff(cols["fwd_bytes"]) >= 0)  # cumulative
+
+    def test_engine_checks_run_before_the_optimum_solve(self, tmp_path, monkeypatch):
+        raw = H.parse_config_text(CONFIG_TEXT)
+        raw.update({"algo.variant": "no_comp", "compressor.forward": "topk:500"})
+
+        def solve(*args, **kwargs):
+            raise AssertionError("the optimum solve ran before the engine was built")
+
+        monkeypatch.setattr(H.ds, "compute_f_star", solve)
+        with pytest.raises(ConfigurationError, match="^boundary 0 forward: topk k=500"):
+            H.run_experiment(H.config_from_mapping(raw), tmp_path / "m.csv")
 
     def test_mlp_dataset_kind_runs(self, tmp_path):
         raw = {
