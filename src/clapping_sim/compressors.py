@@ -2,7 +2,10 @@
 
 Each compressor maps a vector x to a reconstruction C(x) the receiving
 worker decodes, together with the exact byte size of the message that
-would carry it. Deterministic kinds ignore the rng handle and are pure.
+would carry it. One pass over the rows makes both the reconstruction and
+the fields of its wire body; compress is the one-row case of
+compress_batch, with the same stream draws. Deterministic kinds ignore
+the rng handle and are pure.
 
 Kinds and their documented contraction factors (omega^2 bounds the worst
 case of E||x - C(x)||^2 / ||x||^2):
@@ -174,11 +177,10 @@ def _randk_rows(x: np.ndarray, k: int, rng) -> np.ndarray:
     """Row mask of k coordinates per row drawn uniformly from the stream."""
     if rng is None:
         raise ContractViolation("randk needs a random stream")
-    shape = x.shape if x.ndim == 2 else (1,) + x.shape
-    order = np.argsort(rng.random(shape), axis=-1)
-    mask = np.zeros(shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    return mask.reshape(x.shape)
+    order = np.argsort(rng.random(x.shape), axis=-1)
+    mask = np.zeros(x.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :k], True, axis=-1)
+    return mask
 
 
 def _wire_format(spec: CompressorSpec) -> tuple[int, int, int]:
@@ -205,112 +207,80 @@ def _quant_rows(x: np.ndarray, bits: int):
 
 
 def _natural_rows(x: np.ndarray):
-    """Returns (reconstruction, exponent array with sentinel for zero)."""
+    """Returns (reconstruction, wire bytes). Each byte is the sign bit
+    (0x80) OR'd with exponent + 64; zero and flushed entries are byte 0."""
     mant, exp = np.frexp(np.abs(x))  # |x| = mant * 2^exp, mant in [0.5, 1)
     exp = exp - 1                    # |x| = (2*mant) * 2^exp, 2*mant in [1, 2)
     exp = np.where(2.0 * mant >= 1.5, exp + 1, exp)
-    zero = x == 0.0
-    flushed = exp < NATURAL_EXP_MIN
+    live = (x != 0.0) & (exp >= NATURAL_EXP_MIN)
     exp = np.clip(exp, NATURAL_EXP_MIN, NATURAL_EXP_MAX)
-    recon = np.sign(x) * np.ldexp(1.0, exp)
-    recon[zero | flushed] = 0.0
-    exp_out = np.where(zero | flushed, np.iinfo(np.int64).min, exp)
-    return recon, exp_out
+    recon = np.where(live, np.sign(x) * np.ldexp(1.0, exp), 0.0)
+    codes = np.where(live, (exp + 64) | np.where(x < 0.0, 0x80, 0), 0).astype(np.uint8)
+    return recon, codes
 
 
-def _natural_codes(x_sign: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    codes = np.zeros(exp.shape, dtype=np.uint8)
-    live = exp != np.iinfo(np.int64).min
-    codes[live] = (exp[live] + 64).astype(np.uint8)
-    codes[live & (x_sign < 0)] |= 0x80
-    return codes
-
-
-def _reconstruct(spec: CompressorSpec, x: np.ndarray, rng) -> np.ndarray:
-    """Row-wise reconstruction for a (..., d) array."""
+def _compress_rows(spec: CompressorSpec, x: np.ndarray, rng):
+    """The one compressor pass over a (B, d) array: (reconstruction, fields),
+    where fields are the per-row arrays a body needs besides it: the top-k
+    or rand-k mask, the quant (scales, codes), the natural wire bytes, or
+    none for dense kinds. A composition returns its last member's fields,
+    over the intermediate that member saw."""
     if spec.kind == IDENTITY:
-        return x.copy()
-    if spec.kind == TOPK:
-        return np.where(_topk_rows(x, spec.k), x, 0.0)
-    if spec.kind == RANDK:
-        return np.where(_randk_rows(x, spec.k, rng), x, 0.0)
+        return x.copy(), ()
+    if spec.kind in (TOPK, RANDK):
+        mask = _topk_rows(x, spec.k) if spec.kind == TOPK else _randk_rows(x, spec.k, rng)
+        return np.where(mask, x, 0.0), (mask,)
     if spec.kind == UNIFORM_QUANT:
-        return _quant_rows(x, spec.bits)[0]
+        recon, scale32, codes = _quant_rows(x, spec.bits)
+        return recon, (scale32, codes)
     if spec.kind == NATURAL:
-        return _natural_rows(x)[0]
+        recon, codes = _natural_rows(x)
+        return recon, (codes,)
     if spec.kind == INJECT_UNIFORM:
         if rng is None:
             raise ContractViolation("inject_uniform needs a random stream")
         noise = rng.uniform(-spec.amplitude, spec.amplitude, size=x.shape)
-        return x * (1.0 + noise)
-    return _compose_chain(spec, x, rng)[-1]
-
-
-def _compose_chain(spec: CompressorSpec, x: np.ndarray, rng) -> list[np.ndarray]:
-    """Intermediates [x, z_1, ..., z_n] of a composed application."""
-    chain = [x]
+        return x * (1.0 + noise), ()
     for member in spec.inner:
-        chain.append(_reconstruct(member, chain[-1], rng))
-    return chain
+        x, fields = _compress_rows(member, x, rng)
+    return x, fields
 
 
-def _wire_body(
-    spec: CompressorSpec, x: np.ndarray, recon: np.ndarray, prelast: np.ndarray | None = None,
-    support: np.ndarray | None = None,
-) -> wire.WireBody:
-    """WireBody for a single compressed vector (1-D only). ``support`` is
-    the top-k or rand-k mask the reconstruction was built from."""
-    d = x.shape[0]
-    fmt, bits, inner_fmt = _wire_format(spec)
-    if fmt == wire.FMT_DENSE:
-        return wire.WireBody(fmt=fmt, dim=d, values=recon)
-    if fmt == wire.FMT_SPARSE:
-        # the sparse body always carries exactly the k selected entries;
-        # selected entries that happen to be zero-valued still occupy a slot
-        idx = np.flatnonzero(support)
-        return wire.WireBody(fmt=fmt, dim=d, indices=idx, values=recon[idx])
+def _value_block(fmt: int, bits: int, recon: np.ndarray, fields, at) -> wire.WireBody:
+    """WireBody of one row's entries ``at`` in a value format."""
+    values = recon[at]
     if fmt == wire.FMT_QUANT:
-        _, scale32, codes = _quant_rows(x, bits)
-        return wire.WireBody(fmt=fmt, dim=d, scale=float(scale32.reshape(())), codes=codes,
+        scale32, codes = fields
+        return wire.WireBody(fmt=fmt, dim=len(values), scale=float(scale32[0]), codes=codes[at],
                              bits=bits)
     if fmt == wire.FMT_NATURAL:
-        _, exp = _natural_rows(x)
-        return wire.WireBody(fmt=fmt, dim=d, codes=_natural_codes(np.sign(x), exp))
-    # compose: indices of the surviving support + the last member's value
-    # block, built from the intermediate the last member actually saw so
-    # that decoding reproduces the reconstruction exactly
-    idx = np.flatnonzero(recon != 0.0)
-    sub = prelast[idx]
-    if inner_fmt == wire.FMT_QUANT:
-        _, scale32, codes = _quant_rows(sub if len(sub) else np.zeros(1), bits)
-        inner = wire.WireBody(fmt=inner_fmt, dim=len(idx),
-                              scale=float(np.asarray(scale32).reshape(-1)[0]),
-                              codes=codes[: len(idx)], bits=bits)
-    elif inner_fmt == wire.FMT_NATURAL:
-        _, exp = _natural_rows(sub)
-        inner = wire.WireBody(fmt=inner_fmt, dim=len(idx),
-                              codes=_natural_codes(np.sign(sub), exp))
-    else:
-        inner = wire.WireBody(fmt=inner_fmt, dim=len(idx), values=recon[idx])
-    return wire.WireBody(fmt=fmt, dim=d, indices=idx, inner=inner)
+        return wire.WireBody(fmt=fmt, dim=len(values), codes=fields[0][at])
+    return wire.WireBody(fmt=fmt, dim=len(values), values=values)
 
 
 def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload:
     """Compress one vector; returns the reconstruction, exact wire byte
-    counts, and the structured body the codec can serialize."""
+    counts, and the structured body the codec can serialize. This is the
+    one-row case of compress_batch and makes the same stream draws."""
     x = _check_input(spec, x)
     if x.ndim != 1:
         raise ContractViolation("compress takes a single vector; use compress_batch for rows")
-    prelast = support = None
-    if spec.kind == COMPOSE:
-        chain = _compose_chain(spec, x, rng)
-        recon, prelast = chain[-1], chain[-2]
-    elif spec.kind in (TOPK, RANDK):
-        support = _topk_rows(x, spec.k) if spec.kind == TOPK else _randk_rows(x, spec.k, rng)
-        recon = np.where(support, x, 0.0)
+    recon, fields = _compress_rows(spec, x[None], rng)
+    recon, fields = recon[0], [f[0] for f in fields]
+    fmt, bits, inner = _wire_format(spec)
+    if fmt == wire.FMT_SPARSE:
+        # the sparse body always carries exactly the k selected entries;
+        # selected entries that happen to be zero-valued still occupy a slot
+        idx = np.flatnonzero(fields[0])
+        body = wire.WireBody(fmt=fmt, dim=len(x), indices=idx, values=recon[idx])
+    elif fmt == wire.FMT_COMPOSE:
+        # indices of the surviving support + the last member's value block
+        # at them; the quant scale stands, as its largest magnitude survives
+        idx = np.flatnonzero(recon)
+        body = wire.WireBody(fmt=fmt, dim=len(x), indices=idx,
+                             inner=_value_block(inner, bits, recon, fields, idx))
     else:
-        recon = _reconstruct(spec, x, rng)
-    body = _wire_body(spec, x, recon, prelast, support)
+        body = _value_block(fmt, bits, recon, fields, slice(None))
     return CompressedPayload(
         reconstruction=recon,
         encoded_bytes=wire.body_size(body),
@@ -329,7 +299,7 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None):
     x = _check_input(spec, x)
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
-    recon = _reconstruct(spec, x, rng)
+    recon, _ = _compress_rows(spec, x, rng)
     fmt, bits, inner = _wire_format(spec)
     if fmt == wire.FMT_COMPOSE:
         payload, values = wire.sizes(fmt, x.shape[1], np.count_nonzero(recon, axis=-1), bits,
@@ -378,14 +348,10 @@ def contraction_ratio_samples(
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
     ratios = np.empty(trials + (1 if include_adversarial else 0))
-    for i in range(trials):
-        x = rng.standard_normal(dim)
+    for i in range(len(ratios)):
+        x = rng.standard_normal(dim) if i < trials else np.full(dim, 0.5)
         c = compress(spec, x, rng).reconstruction
         ratios[i] = float(np.sum((x - c) ** 2) / np.sum(x**2))
-    if include_adversarial:
-        x = np.full(dim, 0.5)
-        c = compress(spec, x, rng).reconstruction
-        ratios[-1] = float(np.sum((x - c) ** 2) / np.sum(x**2))
     return ratios
 
 

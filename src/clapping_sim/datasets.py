@@ -88,11 +88,6 @@ def gen_logistic_dataset(
     return LogisticDataset(features=xi_star + eps, labels=labels, c_r=c_r, seed=seed)
 
 
-def dataset_objective(dataset: LogisticDataset, chain: st.ModelChain, w_all: list[np.ndarray]):
-    """(full-dataset loss, gradient per stage) at the given weights."""
-    return st.chain_gradients(chain, dataset.chain_inputs(), w_all)
-
-
 def _curvature_bound(x_rows: np.ndarray, c_r: float) -> float:
     """Upper bound on the objective's smoothness constant: logistic
     curvature is at most 1/4, plus the ridge term."""

@@ -189,6 +189,11 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     mlp = model_kind == "tanh_mlp"
     dims = read("model.dims", _ints, (8, 8), minimum=1) if mlp else ()
     bounds = read("model.boundaries", _ints, (2,)) if mlp else ()
+    if mlp:
+        try:  # the chain's own cut rule, raised under its key before anything is built
+            st.tanh_mlp_chain(dims, bounds)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"model.boundaries: {exc}") from None
 
     batch = read("algo.batch_size", _int, 1, minimum=1)
     optimizer = OptimizerConfig(

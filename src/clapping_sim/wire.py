@@ -6,7 +6,7 @@ bodies, batch totals, dense payloads) comes from it. All multi-byte
 integers are little-endian.
 
 Header (8 bytes): u32 step, u16 boundary, u8 direction (0 forward,
-1 backward), u8 format tag.
+1 backward; any other byte is a DecodeError), u8 format tag.
 
 Body by format tag:
 
@@ -15,7 +15,7 @@ Body by format tag:
   QUANT    float32 scale + ceil(d*bits/8) packed codes (bit-packed,
            little-endian within each byte)
   NATURAL  d bytes, each 1 sign bit (high) + 7-bit exponent offset
-           (exponent+64 in [1,127]; 0 encodes the value zero)
+           (exponent+64 in [1,127]; 0 is the value zero; 0x80 is invalid)
   COMPOSE  u32 nonzero count + count x u32 indices (ascending) + the
            value block of the final member's format over those values
 
@@ -49,6 +49,7 @@ BACKWARD = 1
 
 _HEADER = struct.Struct("<IHBB")
 HEADER_BYTES = _HEADER.size
+_SPARSE_ENTRY = np.dtype([("i", "<u4"), ("v", "<f4")])
 
 
 @dataclass(frozen=True)
@@ -133,18 +134,21 @@ def _unpack_bits(data: bytes, n: int, bits: int) -> np.ndarray:
     return codes
 
 
+def _u32_indices(indices) -> np.ndarray:
+    idx = np.asarray(indices)
+    if len(idx) and int(idx.max()) >= 2**32:
+        raise ConfigurationError("index overflow: dimensions beyond u32 are unsupported")
+    return idx.astype("<u4")
+
+
 def _encode_body(body: WireBody) -> bytes:
     if body.fmt == FMT_DENSE:
         return np.asarray(body.values, dtype="<f4").tobytes()
     if body.fmt == FMT_SPARSE:
-        idx = np.asarray(body.indices)
-        if len(idx) and int(idx.max()) >= 2**32:
-            raise ConfigurationError("index overflow: dimensions beyond u32 are unsupported")
-        buf = bytearray()
-        vals = np.asarray(body.values, dtype="<f4")
-        for i, v in zip(idx, vals):
-            buf += struct.pack("<I", int(i)) + v.tobytes()
-        return bytes(buf)
+        entries = np.empty(len(body.indices), dtype=_SPARSE_ENTRY)
+        entries["i"] = _u32_indices(body.indices)
+        entries["v"] = body.values
+        return entries.tobytes()
     if body.fmt == FMT_QUANT:
         offset = (1 << (body.bits - 1)) - 1
         stored = np.asarray(body.codes, dtype=np.int64) + offset
@@ -152,9 +156,8 @@ def _encode_body(body: WireBody) -> bytes:
     if body.fmt == FMT_NATURAL:
         return np.asarray(body.codes, dtype=np.uint8).tobytes()
     if body.fmt == FMT_COMPOSE:
-        idx = np.asarray(body.indices)
-        head = struct.pack("<I", len(idx)) + b"".join(struct.pack("<I", int(i)) for i in idx)
-        return head + _encode_body(body.inner)
+        idx = _u32_indices(body.indices)
+        return struct.pack("<I", len(idx)) + idx.tobytes() + _encode_body(body.inner)
     raise ConfigurationError(f"unknown wire format {body.fmt}")
 
 
@@ -199,18 +202,19 @@ def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner_fmt: int = FMT
     if tag == FMT_SPARSE:
         if len(raw) % 8:
             raise DecodeError("sparse body length mismatch")
+        entries = np.frombuffer(raw, dtype=_SPARSE_ENTRY)
+        if np.any(entries["i"] >= dim):
+            raise DecodeError("sparse index out of range")
         out = np.zeros(dim, dtype=np.float64)
-        for at in range(0, len(raw), 8):
-            i = struct.unpack("<I", raw[at : at + 4])[0]
-            if i >= dim:
-                raise DecodeError("sparse index out of range")
-            out[i] = np.frombuffer(raw[at + 4 : at + 8], dtype="<f4")[0]
+        out[entries["i"]] = entries["v"]
         return out
     if tag == FMT_QUANT:
         return _decode_quant_values(raw, dim, bits)
     if tag == FMT_NATURAL:
         if len(raw) != dim:
             raise DecodeError("natural body length mismatch")
+        if 0x80 in raw:  # a sign bit over exponent offset 0: reserved, not a value
+            raise DecodeError("natural byte 0x80 is reserved")
         return _decode_natural_values(raw)
     if tag == FMT_COMPOSE:
         if len(raw) < 4:
@@ -218,12 +222,12 @@ def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner_fmt: int = FMT
         count = struct.unpack("<I", raw[:4])[0]
         if len(raw) < 4 + 4 * count:
             raise DecodeError("compose body length mismatch")
-        idx = [struct.unpack("<I", raw[4 + 4 * i : 8 + 4 * i])[0] for i in range(count)]
-        if any(i >= dim for i in idx):
+        idx = np.frombuffer(raw, dtype="<u4", count=count, offset=4)
+        if np.any(idx >= dim):
             raise DecodeError("compose index out of range")
         vals = _decode_body(inner_fmt, raw[4 + 4 * count :], count, bits)
         out = np.zeros(dim, dtype=np.float64)
-        out[list(idx)] = vals
+        out[idx] = vals
         return out
     raise DecodeError(f"unknown format tag {tag}")
 
@@ -238,6 +242,8 @@ def decode_message(data: bytes, dim: int, bits: int = 0, compose_inner: int = FM
     if len(data) < HEADER_BYTES:
         raise DecodeError("message shorter than header")
     step, boundary, direction, tag = _HEADER.unpack(data[:HEADER_BYTES])
+    if direction not in (FORWARD, BACKWARD):
+        raise DecodeError(f"unknown direction {direction}")
     values = _decode_body(tag, data[HEADER_BYTES:], dim, bits, compose_inner)
     return (step, boundary, direction, tag), values
 
@@ -273,10 +279,6 @@ class TransferLedger:
 
     def total_bytes(self, direction: int | None = None) -> int:
         return sum(v for (b, d), v in self.payload_bytes.items()
-                   if direction is None or d == direction)
-
-    def total_value_bytes(self, direction: int | None = None) -> int:
-        return sum(v for (b, d), v in self.value_bytes.items()
                    if direction is None or d == direction)
 
     def total_messages(self) -> int:

@@ -124,6 +124,10 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
     ("algo.variant = no_comp\ndataset.kind = synthetic_mlp\nmodel.dims = 4,0", [],
      "model.dims"),
     ("algo.variant = no_comp\nalgo.batch_size = 4000", [], "algo.batch_size"),
+    ("algo.variant = no_comp\ndataset.kind = synthetic_mlp\nmodel.dims = 4,4\n"
+     "model.boundaries = 9", [], "model.boundaries"),
+    ("algo.variant = no_comp\ndataset.kind = synthetic_mlp\nmodel.dims = 4,4\n"
+     "model.boundaries = 2,1", [], "model.boundaries"),
     ("algo.variant = clapping_fu\nalgo.batch_size = 17\nalgo.sampler_rule = batch_batchwise",
      [], "algo.batch_size"),
     ("algo.variant = no_comp\nalgo.batch_size = 4\nalgo.sampler_rule = single", [],

@@ -6,7 +6,7 @@ from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
 from clapping_sim import compressors as comp
-from clapping_sim import harness
+from clapping_sim import harness, wire
 from clapping_sim.errors import ConfigurationError, ContractViolation
 from clapping_sim.rng import named_stream
 
@@ -232,6 +232,29 @@ class TestCompose:
         spec = comp.compose_spec(comp.topk_spec(6), comp.quant_spec(8))
         measured = comp.empirical_contraction(spec, 8, 2000, rng)
         assert measured <= comp.contraction_bound(spec, 8) + 1e-12
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("syntax, helper", [
+        ("quant:8", "_quant_rows"), ("topk:3+quant:8", "_quant_rows"), ("natural", "_natural_rows"),
+    ])
+    def test_compress_runs_the_pass_once_without_compress_batch(self, monkeypatch, syntax, helper):
+        calls = []
+        inner = getattr(comp, helper)
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return inner(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compress must not go through compress_batch")
+
+        monkeypatch.setattr(comp, helper, counted)
+        monkeypatch.setattr(comp, "compress_batch", refuse)
+        x = named_stream(10, "one-pass").standard_normal(12)
+        pay = comp.compress(harness.parse_compressor("forward", syntax), x)
+        assert calls == [(1, 12)]
+        assert pay.encoded_bytes == len(wire.encode_message(0, 0, 0, pay.body)) - wire.HEADER_BYTES
 
 
 class TestInjectUniform:

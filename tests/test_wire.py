@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from clapping_sim import compressors as comp
@@ -64,6 +66,13 @@ class TestRoundTrips:
         _, rec = wire.decode_message(msg, 64)
         npt.assert_array_equal(rec, pay.reconstruction)
 
+    def test_natural_zero_travels_as_byte_zero(self):
+        pay = comp.compress(comp.natural_spec(), np.array([0.0, 1.0, -3.0]))
+        npt.assert_array_equal(pay.body.codes, [0, 64, 194])
+        _, rec = wire.decode_message(wire.encode_message(0, 0, 0, pay.body), 3)
+        npt.assert_array_equal(rec, pay.reconstruction)
+        npt.assert_array_equal(rec, [0.0, 1.0, -4.0])
+
     def test_compose_roundtrip_exact(self):
         rng = named_stream(2, "wire-compose")
         spec = comp.compose_spec(comp.topk_spec(5), comp.quant_spec(8))
@@ -100,6 +109,35 @@ class TestDecodeErrors:
         msg = wire.encode_message(0, 0, 0, pay.body)
         with pytest.raises(DecodeError):
             wire.decode_message(msg, 2)  # dim too small for the stored index
+
+    def test_natural_byte_0x80_is_reserved(self):
+        # sign bit over exponent offset 0 would be -2^-64, outside [-63, 63]
+        body = wire.WireBody(fmt=wire.FMT_NATURAL, dim=2, codes=np.array([64, 0x80]))
+        with pytest.raises(DecodeError):
+            wire.decode_message(wire.encode_message(0, 0, 0, body), 2)
+
+    def test_direction_beyond_backward(self):
+        pay = comp.compress(comp.identity_spec(), np.ones(2))
+        msg = bytearray(wire.encode_message(0, 0, wire.BACKWARD, pay.body))
+        msg[6] = 7  # the header's direction byte
+        with pytest.raises(DecodeError):
+            wire.decode_message(bytes(msg), 2)
+
+    def _compose_message(self, count, indices, values):
+        body = struct.pack(f"<I{len(indices)}I", count, *indices)
+        body += np.asarray(values, dtype="<f4").tobytes()
+        return struct.pack("<IHBB", 0, 0, 0, wire.FMT_COMPOSE) + body
+
+    def test_compose_count_past_body(self):
+        with pytest.raises(DecodeError):
+            wire.decode_message(self._compose_message(5, [1], [2.0]), 4)
+
+    def test_compose_index_out_of_range(self):
+        msg = self._compose_message(1, [9], [2.0])
+        with pytest.raises(DecodeError):
+            wire.decode_message(msg, 4)
+        _, rec = wire.decode_message(msg, 10)  # the same message fits a wider boundary
+        npt.assert_array_equal(rec, [0.0] * 9 + [2.0])
 
 
 class TestTransferLedger:
@@ -172,6 +210,12 @@ def spec_and_batch(draw):
 
 class TestSizeFormula:
     @given(spec_and_batch())
+    # natural entries that flush to 0, round up to 2^-63, and saturate at 2^63
+    @example((comp.natural_spec(), np.array([[2.0**-64, 1.5 * 2.0**-64, 2.0**63, 1e30]])))
+    @example((comp.compose_spec(comp.topk_spec(2), comp.natural_spec()),
+              np.array([[2.0**-64, -1.5 * 2.0**-64, 0.0, -1e30]])))
+    # an all-zero composed row: no indices and an empty value block
+    @example((comp.compose_spec(comp.topk_spec(2), comp.quant_spec(8)), np.zeros((1, 3))))
     @settings(max_examples=200, deadline=None)
     def test_batch_sizes_equal_encoded_rows(self, case):
         # one stream for the batch and an equally seeded one for the rows:
@@ -182,9 +226,18 @@ class TestSizeFormula:
         row_rng = np.random.default_rng(0)
         pays = [comp.compress(spec, row, row_rng) for row in x]
         npt.assert_array_equal(recon, [p.reconstruction for p in pays])
-        encoded = [len(wire.encode_message(0, 0, 0, p.body)) - wire.HEADER_BYTES for p in pays]
+        messages = [wire.encode_message(0, 0, 0, p.body) for p in pays]
+        encoded = [len(m) - wire.HEADER_BYTES for m in messages]
         assert nbytes == sum(encoded)
         assert vbytes == sum(wire.value_only_size(p.body) for p in pays)
+        for msg, pay in zip(messages, pays):
+            # every row decodes to its reconstruction: bit-exact for quant
+            # and natural value blocks, the float32 cast of dense and sparse
+            block = pay.body.inner or pay.body
+            _, rec = wire.decode_message(msg, x.shape[1], block.bits, block.fmt)
+            exact = block.fmt in (wire.FMT_QUANT, wire.FMT_NATURAL)
+            want = pay.reconstruction if exact else pay.reconstruction.astype(np.float32)
+            npt.assert_array_equal(rec, want)
         if spec.stochastic:
             return
         for row, pay, size in zip(x, pays, encoded):
