@@ -249,11 +249,14 @@ class TestOnePass:
         def refuse(*args, **kwargs):
             raise AssertionError("compress must not go through compress_batch")
 
+        spec = harness.parse_compressor("forward", syntax)
+        x = named_stream(10, "one-pass").standard_normal(12)
+        want = comp.compress_batch(spec, x[None])[0][0]
         monkeypatch.setattr(comp, helper, counted)
         monkeypatch.setattr(comp, "compress_batch", refuse)
-        x = named_stream(10, "one-pass").standard_normal(12)
-        pay = comp.compress(harness.parse_compressor("forward", syntax), x)
+        pay = comp.compress(spec, x)
         assert calls == [(1, 12)]
+        npt.assert_array_equal(pay.reconstruction, want)
         assert pay.encoded_bytes == len(wire.encode_message(0, 0, 0, pay.body)) - wire.HEADER_BYTES
 
 
