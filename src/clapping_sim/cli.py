@@ -14,7 +14,7 @@ import sys
 from . import datasets as ds
 from . import harness
 from . import verify as vf
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 
 
 def _cmd_run(args) -> int:
@@ -97,6 +97,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except DivergenceError as exc:
+        print(f"diverged: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -197,7 +197,11 @@ def _wire_format(spec: CompressorSpec) -> tuple[int, int, int]:
 def _quant_rows(x: np.ndarray, bits: int):
     """Returns (reconstruction, float32 scales, integer codes)."""
     levels_half = (1 << (bits - 1)) - 1
-    scale32 = np.abs(x).max(axis=-1, keepdims=True).astype(np.float32)
+    peak = np.abs(x).max(axis=-1, keepdims=True)
+    if (peak > np.finfo(np.float32).max).any():  # the scale travels as one float32
+        raise ContractViolation(f"uniform_quant: |x| = {peak.max():.4g} exceeds the float32 "
+                                f"scale limit {np.finfo(np.float32).max:.4g}")
+    scale32 = peak.astype(np.float32)
     step = 2.0 * scale32.astype(np.float64) / (2**bits - 1)
     safe = np.where(step > 0, step, 1.0)
     codes = np.sign(x) * np.floor(np.abs(x) / safe + 0.5)

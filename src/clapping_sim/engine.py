@@ -8,9 +8,9 @@ neighbor. The backward pass at a worker uses the weights that produced
 the forward pass, matching a synchronous pipeline where the gradient
 message is formed from the same iterate it was computed against.
 
-Both endpoints of a boundary keep a copy of the reconstruction cache and
-apply the identical update, so sender and receiver copies stay
-bit-identical; this is asserted after every exchange.
+Each boundary and direction is one ``Link``. Where its mode reads a
+cache, the link holds one array for both endpoints' identical copies.
+A non-finite message raises ``DivergenceError`` before it is sent.
 
 The variants differ only in what each boundary sends in each direction.
 ``VARIANT_POLICY`` gives each one a mode per direction, whether it samples
@@ -31,7 +31,8 @@ import numpy as np
 from . import compressors as comp
 from . import stages as st
 from . import wire
-from .errors import ConfigurationError, ContractViolation, UnsupportedConfiguration
+from .errors import (ConfigurationError, ContractViolation, DivergenceError,
+                     UnsupportedConfiguration)
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from .rng import named_stream
 from .sampling import SINGLE, SamplerState, Schedule, lazy_sample
@@ -48,6 +49,8 @@ MODE_DENSE = "dense"
 MODE_DIRECT = "direct"
 MODE_EF = "ef"
 MODE_PER_SAMPLE_EF = "per_sample_ef"
+
+_DIRECTIONS = ("forward", "backward")  # by wire.FORWARD and wire.BACKWARD
 
 
 class VariantPolicy(NamedTuple):
@@ -115,6 +118,16 @@ class WorkerPlan(NamedTuple):
     stage_grads: list[np.ndarray]
 
 
+class Link(NamedTuple):
+    """One boundary in one direction, compiled at engine init. The cache
+    is (B, d) for ``ef``, (n, d) for ``per_sample_ef``, else None."""
+
+    mode: str
+    spec: comp.CompressorSpec
+    rng: np.random.Generator
+    cache: np.ndarray | None
+
+
 @dataclass
 class IterationMetrics:
     step: int
@@ -125,7 +138,6 @@ class IterationMetrics:
     fwd_bytes: int
     bwd_bytes: int
     sim_seconds: float
-    cache_entries: int = 0
 
 
 class PipelineEngine:
@@ -148,9 +160,6 @@ class PipelineEngine:
         n_bound = chain.num_workers - 1
         if len(config.forward_compressors) != n_bound or len(config.backward_compressors) != n_bound:
             raise ConfigurationError(f"need one compressor per direction per {n_bound} boundaries")
-        for i, specs in enumerate(zip(config.forward_compressors, config.backward_compressors)):
-            for direction, spec in zip(("forward", "backward"), specs):
-                comp.check_width(spec, chain.boundary_dim(i), f"boundary {i} {direction}")
         self.chain = chain
         self.config = config
         self.freeze_weights = freeze_weights
@@ -158,9 +167,8 @@ class PipelineEngine:
         self.B = config.batch_size
 
         self.policy = VARIANT_POLICY[config.variant]
-        per_sample = self.policy.forward == MODE_PER_SAMPLE_EF
         if isinstance(inputs, StreamingInputs):
-            if per_sample:
+            if self.policy.forward == MODE_PER_SAMPLE_EF:
                 raise UnsupportedConfiguration(
                     "the per-sample cache cannot cover an infinite input stream"
                 )
@@ -187,14 +195,20 @@ class PipelineEngine:
         self._rng_sample = named_stream(config.seed, "sampler")
         self._rng_stream_data = named_stream(config.seed, "stream-data")
 
-        def comp_stream(direction: str, i: int, spec: comp.CompressorSpec):
-            name = f"compressor/{direction}/{i}"
+        def link(direction: int, i: int, spec: comp.CompressorSpec) -> Link:
+            dim = chain.boundary_dim(i)
+            comp.check_width(spec, dim, f"boundary {i} {_DIRECTIONS[direction]}")
+            stream = f"compressor/{('fwd', 'bwd')[direction]}/{i}"
             if spec.seed_stream:
-                name += f"/{spec.seed_stream}"
-            return named_stream(config.seed, name)
+                stream += f"/{spec.seed_stream}"
+            mode = self.policy[direction]  # VariantPolicy starts (forward, backward)
+            rows = {MODE_EF: self.B, MODE_PER_SAMPLE_EF: n_samples}.get(mode)
+            return Link(mode, spec, named_stream(config.seed, stream),
+                        None if rows is None else np.zeros((rows, dim)))
 
-        self._rng_fwd = [comp_stream("fwd", i, s) for i, s in enumerate(config.forward_compressors)]
-        self._rng_bwd = [comp_stream("bwd", i, s) for i, s in enumerate(config.backward_compressors)]
+        # indexed [wire.FORWARD or wire.BACKWARD][boundary]
+        self.links = tuple([link(d, i, spec) for i, spec in enumerate(specs)] for d, specs in
+                           enumerate((config.forward_compressors, config.backward_compressors)))
 
         self.weights: list[np.ndarray] = []
         for e in range(1, self.E + 1):
@@ -217,18 +231,6 @@ class PipelineEngine:
             self.plans.append(WorkerPlan(stages, chain.split_params(stages, w), grad,
                                          chain.split_params(stages, grad)))
 
-        B = self.B
-        self.fwd_cache_send = [np.zeros((B, chain.boundary_dim(i))) for i in range(n_bound)]
-        self.fwd_cache_recv = [np.zeros((B, chain.boundary_dim(i))) for i in range(n_bound)]
-        self.bwd_cache_send = [np.zeros((B, chain.boundary_dim(i))) for i in range(n_bound)]
-        self.bwd_cache_recv = [np.zeros((B, chain.boundary_dim(i))) for i in range(n_bound)]
-
-        self.aqsgd_cache: list[np.ndarray] | None = None
-        if per_sample:
-            self.aqsgd_cache = [
-                np.zeros((n_samples, chain.boundary_dim(i))) for i in range(n_bound)
-            ]
-
         self.ledger = wire.TransferLedger(bandwidth_bps=bandwidth_bps, latency_s=latency_s)
         self.t = 0
 
@@ -241,25 +243,14 @@ class PipelineEngine:
         """Views of the live weights, one per stage."""
         return [w for plan in self.plans for w in plan.params]
 
-    def aqsgd_cache_entries(self) -> list[int]:
-        if self.aqsgd_cache is None:
-            return []
-        return [c.shape[0] for c in self.aqsgd_cache]
-
-    def batch_cache_entries(self) -> list[int]:
-        return [c.shape[0] for c in self.fwd_cache_send]
+    def cache_rows(self, direction: int) -> list[int]:
+        """Rows of each cache in one direction, for the boundaries that keep one."""
+        return [link.cache.shape[0] for link in self.links[direction] if link.cache is not None]
 
     def _rows(self, indices: np.ndarray) -> np.ndarray:
         if isinstance(self.inputs, StreamingInputs):
             return np.asarray(self.inputs.draw(self._rng_stream_data, len(indices)), dtype=np.float64)
         return self.inputs[indices]
-
-    def _assert_mirrored(self, i: int) -> None:
-        if not (
-            np.array_equal(self.fwd_cache_send[i], self.fwd_cache_recv[i])
-            and np.array_equal(self.bwd_cache_send[i], self.bwd_cache_recv[i])
-        ):
-            raise ContractViolation(f"cache mirror broke at boundary {i}")
 
     # -- worker-local math ---------------------------------------------
 
@@ -298,41 +289,34 @@ class PipelineEngine:
 
     def _exchange(self, direction: int, i: int, x: np.ndarray, fresh_rows: np.ndarray,
                   sample_idx: np.ndarray | None) -> np.ndarray:
-        """Send x across boundary i in the variant's mode for this
-        direction; updates both cache copies and the ledger, returns the
-        reconstruction the receiver uses."""
-        if direction == wire.FORWARD:
-            mode = self.policy.forward
-            spec, rng = self.config.forward_compressors[i], self._rng_fwd[i]
-            send, recv = self.fwd_cache_send, self.fwd_cache_recv
-        else:
-            mode = self.policy.backward
-            spec, rng = self.config.backward_compressors[i], self._rng_bwd[i]
-            send, recv = self.bwd_cache_send, self.bwd_cache_recv
-
-        if mode == MODE_DENSE:
+        """Send x across boundary i on its link; updates the link's cache
+        and the ledger, returns the reconstruction the receiver uses."""
+        link = self.links[direction][i]
+        if not np.isfinite(x).all():  # sent by worker i + 1 forward, i + 2 backward
+            raise DivergenceError(f"step {self.t + 1}: non-finite {_DIRECTIONS[direction]} "
+                                  f"message at boundary {i}, sent by worker {i + 1 + direction}")
+        if link.mode == MODE_DENSE:
             recon = x.copy()
             nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
-        elif mode == MODE_DIRECT:
-            recon, nbytes, value_bytes = comp.compress_batch(spec, x, rng)
-        elif mode == MODE_PER_SAMPLE_EF:
-            recon, nbytes, value_bytes = _ef_update(spec, x, self.aqsgd_cache[i][sample_idx], rng)
-            self.aqsgd_cache[i][sample_idx] = recon
-        elif self.policy.fresh_rows_dense and fresh_rows.any():
-            stale = ~fresh_rows
-            recon = x.copy()
-            nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * int(fresh_rows.sum())
-            if stale.any():
-                recon[stale], nb, vb = _ef_update(spec, x[stale], send[i][stale], rng)
-                nbytes += nb
-                value_bytes += vb
+        elif link.mode == MODE_DIRECT:
+            recon, nbytes, value_bytes = comp.compress_batch(link.spec, x, link.rng)
         else:
-            recon, nbytes, value_bytes = _ef_update(spec, x, send[i], rng)
+            rows = sample_idx if link.mode == MODE_PER_SAMPLE_EF else slice(None)
+            cache = link.cache[rows]
+            if self.policy.fresh_rows_dense and fresh_rows.any():
+                stale = ~fresh_rows
+                recon = x.copy()
+                nbytes = value_bytes = (wire.sizes(wire.FMT_DENSE, x.shape[1])[0]
+                                        * int(fresh_rows.sum()))
+                if stale.any():
+                    recon[stale], nb, vb = _ef_update(link.spec, x[stale], cache[stale], link.rng)
+                    nbytes += nb
+                    value_bytes += vb
+            else:
+                recon, nbytes, value_bytes = _ef_update(link.spec, x, cache, link.rng)
+            link.cache[rows] = recon
 
-        np.copyto(send[i], recon)
-        np.copyto(recv[i], recon)
         self.ledger.record(i, direction, nbytes, value_bytes)
-        self._assert_mirrored(i)
         return recon
 
     # -- one iteration ---------------------------------------------------
@@ -383,7 +367,6 @@ class PipelineEngine:
             fwd_bytes=self.ledger.total_bytes(wire.FORWARD) - fwd0,
             bwd_bytes=self.ledger.total_bytes(wire.BACKWARD) - bwd0,
             sim_seconds=self.ledger.simulated_seconds,
-            cache_entries=self.aqsgd_cache[0].shape[0] if self.aqsgd_cache else 0,
         )
 
     def _update_worker(self, e: int, grad: np.ndarray, gamma: float, m_t: float) -> None:

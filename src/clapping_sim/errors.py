@@ -6,6 +6,10 @@ class ContractViolation(ValueError):
     (dimension mismatches, non-finite values, inconsistent state)."""
 
 
+class DivergenceError(ContractViolation):
+    """A message to be sent is non-finite: the run diverged at its step and boundary."""
+
+
 class ConfigurationError(ValueError):
     """A spec or config object is internally inconsistent or out of range."""
 

@@ -6,7 +6,7 @@ bodies, batch totals, dense payloads) comes from it. All multi-byte
 integers are little-endian.
 
 Header (8 bytes): u32 step, u16 boundary, u8 direction (0 forward,
-1 backward; any other byte is a DecodeError), u8 format tag.
+1 backward; encoder and decoder refuse any other byte), u8 format tag.
 
 Body by format tag:
 
@@ -154,7 +154,10 @@ def _encode_body(body: WireBody) -> bytes:
         stored = np.asarray(body.codes, dtype=np.int64) + offset
         return struct.pack("<f", float(body.scale)) + _pack_bits(stored, body.bits)
     if body.fmt == FMT_NATURAL:
-        return np.asarray(body.codes, dtype=np.uint8).tobytes()
+        codes = np.asarray(body.codes, dtype=np.uint8)
+        if (codes == 0x80).any():
+            raise ConfigurationError("natural byte 0x80 is reserved")
+        return codes.tobytes()
     if body.fmt == FMT_COMPOSE:
         idx = _u32_indices(body.indices)
         return struct.pack("<I", len(idx)) + idx.tobytes() + _encode_body(body.inner)
@@ -163,6 +166,8 @@ def _encode_body(body: WireBody) -> bytes:
 
 def encode_message(step: int, boundary: int, direction: int, body: WireBody) -> bytes:
     """Serialize header + body. The body length always equals body_size."""
+    if direction not in (FORWARD, BACKWARD):
+        raise ConfigurationError(f"unknown direction {direction}")
     raw = _encode_body(body)
     if len(raw) != body_size(body):
         raise ConfigurationError("encoded body does not match its size formula")

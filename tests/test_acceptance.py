@@ -192,10 +192,9 @@ def test_criterion_8_per_sample_cache_accounting():
     fc = PipelineEngine(chain, config(CLAPPING_FC), X)
     aq.run(4)
     fc.run(4)
-    ok = aq.aqsgd_cache_entries() == [64] and fc.batch_cache_entries() == [4]
-    ok &= fc.aqsgd_cache_entries() == []
-    report(8, ok, f"per-sample entries {aq.aqsgd_cache_entries()}, "
-                  f"batch entries {fc.batch_cache_entries()}")
+    ok = aq.cache_rows(wire.FORWARD) == [64] and fc.cache_rows(wire.FORWARD) == [4]
+    report(8, ok, f"per-sample entries {aq.cache_rows(wire.FORWARD)}, "
+                  f"batch entries {fc.cache_rows(wire.FORWARD)}")
 
 
 def test_criterion_9_error_propagation_bounds():

@@ -140,3 +140,13 @@ def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, na
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {names}")
     assert not (tmp_path / "m.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
+def test_divergence_is_one_line_and_exit_code_3(tmp_path, capsys):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text("dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 200\n"
+                   "algo.variant = clapping_fc\noptimizer.gamma = 1e6\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "m.csv")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "diverged: step 52: non-finite forward message at boundary 0, sent by worker 1"]

@@ -184,6 +184,18 @@ class TestUniformQuant:
         pay = comp.compress(comp.quant_spec(8), np.zeros(5))
         npt.assert_array_equal(pay.reconstruction, np.zeros(5))
 
+    @pytest.mark.parametrize("syntax, batch, x", [
+        ("quant:8", False, [1e39, 1.0, -2.0]),
+        ("quant:8", True, [[3.5e38, 1.0]]),
+        ("topk:1+quant:8", False, [1e39, 1.0, -2.0]),
+    ])
+    def test_scale_beyond_float32_is_named(self, syntax, batch, x):
+        # the scale travels as a float32; past its range it used to turn into NaN
+        spec = harness.parse_compressor("compressor.forward", syntax)
+        run = comp.compress_batch if batch else comp.compress
+        with pytest.raises(ContractViolation, match="float32 scale limit"):
+            run(spec, np.array(x))
+
 
 class TestNaturalComp:
     def test_rounds_to_nearest_power_of_two(self):

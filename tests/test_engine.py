@@ -11,10 +11,11 @@ from clapping_sim import stages as st
 from clapping_sim.engine import (AQ_SGD, CLAPPING_FC, CLAPPING_FU, DIRECT, FORWARD_EF,
                                  NO_COMP, VARIANT_POLICY, AlgoConfig, PipelineEngine,
                                  StreamingInputs)
-from clapping_sim.errors import ConfigurationError, UnsupportedConfiguration
+from clapping_sim.errors import ConfigurationError, DivergenceError, UnsupportedConfiguration
 from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig
 from clapping_sim.rng import named_stream
 from clapping_sim.sampling import BATCH_BATCHWISE, BATCH_SAMPLEWISE, Schedule
+from clapping_sim.wire import BACKWARD, FORWARD
 
 
 def sgd(gamma=0.1, m=0.5):
@@ -34,6 +35,23 @@ def make_config(variant, chain, p=1.0, fwd=None, bwd=None, batch=1, steps=10, se
                       batch_size=batch, total_steps=steps, seed=seed,
                       sampler_rule=rule, p_schedule=Schedule.constant(p),
                       momentum_reset_steps=resets)
+
+
+def record_exchanges(eng):
+    """Keep a copy of the latest array each exchange hands its receiver,
+    by (direction, boundary)."""
+    received = {}
+
+    def recording(direction, exchange):
+        def call(i, x, *rest):
+            out = exchange(i, x, *rest)
+            received[direction, i] = out.copy()
+            return out
+        return call
+
+    eng.forward_exchange = recording(FORWARD, eng.forward_exchange)
+    eng.backward_exchange = recording(BACKWARD, eng.backward_exchange)
+    return received
 
 
 @pytest.fixture
@@ -111,10 +129,10 @@ class TestExchanges:
         # chain has no parameters, so both are recomputable)
         idx = named_stream(11, "sampler").integers(0, 16, size=1)[0]
         y = st.stage_forward(chain.stages[0], X[idx], init[0])
-        npt.assert_array_equal(eng.fwd_cache_send[0][0], y)
-        v = st.stage_backward_input(chain.stages[1], eng.fwd_cache_send[0][0],
+        npt.assert_array_equal(eng.links[FORWARD][0].cache[0], y)
+        v = st.stage_backward_input(chain.stages[1], eng.links[FORWARD][0].cache[0],
                                     np.zeros(0), np.ones(1))
-        npt.assert_array_equal(eng.bwd_cache_send[0][0], v)
+        npt.assert_array_equal(eng.links[BACKWARD][0].cache[0], v)
 
     def test_direct_topk_on_equal_pair_never_decays(self):
         # two-element activation (1, 1): top-1 keeps index 0 forever, the
@@ -130,9 +148,10 @@ class TestExchanges:
             make_config(DIRECT, chain, fwd=(comp.topk_spec(1),), steps=5, seed=2),
             X, init_weights=init, freeze_weights=True,
         )
+        received = record_exchanges(eng)
         for _ in range(5):
             eng.run_iteration()
-            npt.assert_array_equal(eng.fwd_cache_send[0][0], [1.0, 0.0])
+            npt.assert_array_equal(received[FORWARD, 0][0], [1.0, 0.0])
 
     def test_backward_error_propagation_formula(self):
         # three linear workers, exact forward, noisy backward: the
@@ -147,26 +166,32 @@ class TestExchanges:
         bwd = (comp.inject_uniform_spec(0.3), comp.inject_uniform_spec(0.3))
         eng = PipelineEngine(chain, make_config(DIRECT, chain, bwd=bwd, seed=5), X,
                              init_weights=init, freeze_weights=True)
+        received = record_exchanges(eng)
         eng.run_iteration()
         W2 = init[1].reshape(2, 3)
         W3 = init[2].reshape(1, 2)
         v2 = (W3.T @ np.ones(1))
-        eps2 = eng.bwd_cache_send[1][0] - v2
-        v1 = W2.T @ eng.bwd_cache_send[1][0]
-        eps1 = eng.bwd_cache_send[0][0] - v1
+        eps2 = received[BACKWARD, 1][0] - v2
+        v1 = W2.T @ received[BACKWARD, 1][0]
+        eps1 = received[BACKWARD, 0][0] - v1
         expected = W2.T @ (W3.T @ np.ones(1) + eps2) + eps1
-        npt.assert_allclose(eng.bwd_cache_send[0][0], expected, rtol=1e-12)
+        npt.assert_allclose(received[BACKWARD, 0][0], expected, rtol=1e-12)
         assert np.linalg.norm(eps2) > 0
 
-    def test_cache_mirroring_after_every_exchange(self, logistic_setup):
-        chain, X, init = logistic_setup
-        fwd = (comp.topk_spec(1),)
-        eng = PipelineEngine(chain, make_config(CLAPPING_FC, chain, fwd=fwd, bwd=fwd,
-                                                p=0.5, steps=30), X, init_weights=init)
-        for _ in range(30):
-            eng.run_iteration()
-            assert eng.fwd_cache_send[0].tobytes() == eng.fwd_cache_recv[0].tobytes()
-            assert eng.bwd_cache_send[0].tobytes() == eng.bwd_cache_recv[0].tobytes()
+    def test_cache_inventory(self):
+        # one cache per boundary and direction, only where the mode reads one
+        chain = st.tanh_mlp_chain((5, 6, 7, 8, 4), boundaries=(1, 2, 3))
+        X = np.zeros((32, 5))
+
+        def caches(variant, rule=None):
+            eng = PipelineEngine(chain, make_config(variant, chain, batch=4, rule=rule), X)
+            return [[link.cache.shape for link in links if link.cache is not None]
+                    for links in eng.links]
+
+        dims = [chain.boundary_dim(i) for i in range(3)]
+        assert caches(CLAPPING_FC) == [[(4, d) for d in dims]] * 2
+        assert caches(NO_COMP) == caches(DIRECT) == [[], []]
+        assert caches(AQ_SGD, BATCH_SAMPLEWISE) == [[(32, d) for d in dims], []]
 
 
 class TestEfFixedPoint:
@@ -180,10 +205,11 @@ class TestEfFixedPoint:
         eng.run_iteration()
         idx = eng.sampler.current[0]
         y = st.stage_forward(chain.stages[0], X[idx], init[0])
-        errs = [np.linalg.norm(eng.fwd_cache_send[0][0] - y)]
+        cache = eng.links[FORWARD][0].cache
+        errs = [np.linalg.norm(cache[0] - y)]
         for _ in range(10):
             eng.run_iteration()
-            errs.append(np.linalg.norm(eng.fwd_cache_send[0][0] - y))
+            errs.append(np.linalg.norm(cache[0] - y))
         for prev, cur in zip(errs, errs[1:]):
             assert cur <= omega * prev + 1e-12
         assert errs[-1] <= 1e-12  # top-1 on dim 2 pins everything within d/k steps
@@ -210,9 +236,10 @@ class TestDeterminism:
                            init_weights=init)
         b = PipelineEngine(chain, make_config(DIRECT, chain, fwd=(other,), steps=5), X,
                            init_weights=init)
+        got_a, got_b = record_exchanges(a), record_exchanges(b)
         a.run(5)
         b.run(5)
-        assert not np.array_equal(a.fwd_cache_send[0], b.fwd_cache_send[0])
+        assert not np.array_equal(got_a[FORWARD, 0], got_b[FORWARD, 0])
 
     def test_compressor_stream_does_not_disturb_sampling(self, logistic_setup):
         # swapping a stochastic compressor for a deterministic one must
@@ -279,10 +306,10 @@ class TestAqsgd:
 
     def test_cache_entries_counted(self):
         eng, *_ = self.make_engine(64)
-        assert eng.aqsgd_cache_entries() == [64]
-        assert eng.batch_cache_entries() == [1]
-        m = eng.run_iteration()
-        assert m.cache_entries == 64
+        assert eng.cache_rows(FORWARD) == [64]
+        assert eng.cache_rows(BACKWARD) == []  # the backward is direct and keeps no cache
+        eng.run_iteration()
+        assert eng.cache_rows(FORWARD) == [64]
 
     def test_single_sample_dataset_coincides_with_lazy_hold(self):
         # N=1: per-sample error feedback against one cache entry equals
@@ -309,12 +336,12 @@ class TestAqsgd:
         # the per-sample variant runs the normal step; each step updates
         # the cache entry of the row it sampled and no other
         eng, chain, X, init = self.make_engine(8, fwd=(comp.topk_spec(1),))
+        after = eng.links[FORWARD][0].cache
         for _ in range(5):
-            before = eng.aqsgd_cache[0].copy()
-            m = eng.run_iteration()
+            before = after.copy()
+            eng.run_iteration()
             row = eng.sampler.current[0]
-            after = eng.aqsgd_cache[0]
-            assert m.cache_entries == 8
+            assert after.shape == (8, chain.boundary_dim(0))
             assert not np.array_equal(after[row], before[row])
             untouched = [i for i in range(8) if i != row]
             npt.assert_array_equal(after[untouched], before[untouched])
@@ -331,6 +358,32 @@ class TestAqsgd:
         eng = PipelineEngine(chain, make_config(CLAPPING_FU, chain, p=0.5, steps=15), stream)
         metrics = eng.run(15)
         assert len(metrics) == 15 and np.isfinite(metrics[-1].loss)
+
+
+class TestDivergence:
+    @pytest.mark.parametrize("variant", list(VARIANT_POLICY))
+    def test_blow_up_is_named_at_the_same_step(self, variant):
+        # 16 logistic rows at gamma = 1e6: the weights overflow, and the first
+        # non-finite activation is caught before it is sent, whatever the mode
+        cfg = harness.config_from_mapping({
+            "dataset.n": "16", "dataset.dim": "4", "algo.total_steps": "200",
+            "algo.variant": variant, "optimizer.gamma": "1e6",
+        })
+        chain, inputs, init, _ = harness.build_problem(cfg)
+        eng = PipelineEngine(chain, cfg.algo, inputs, init_weights=init)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
+            eng.run()
+        assert str(caught.value) == (
+            "step 52: non-finite forward message at boundary 0, sent by worker 1")
+        assert eng.t == 51
+
+    def test_backward_message_names_its_sender(self, logistic_setup):
+        chain, X, init = logistic_setup
+        eng = PipelineEngine(chain, make_config(CLAPPING_FC, chain), X, init_weights=init)
+        eng.run_iteration()
+        with pytest.raises(DivergenceError, match="step 2: .* backward .* boundary 0, .* worker 2"):
+            eng.backward_exchange(0, np.full((1, chain.boundary_dim(0)), np.nan),
+                                  np.zeros(1, dtype=bool))
 
 
 class TestAdamEngine:
@@ -392,8 +445,8 @@ class TestMemory:
         chain, inputs, init, _ = harness.build_problem(cfg)
         eng = PipelineEngine(chain, cfg.algo, inputs, init_weights=init)
         eng.run(1)
-        state = [list(eng.weights), list(eng.momentum), list(eng.fwd_cache_send),
-                 list(eng.bwd_cache_recv)]
+        state = [list(eng.weights), list(eng.momentum),
+                 [link.cache for links in eng.links for link in links]]
         before = [w.copy() for w in eng.weights]
         tracemalloc.start()
         try:
@@ -405,8 +458,8 @@ class TestMemory:
             tracemalloc.stop()
         # slack for interpreter bookkeeping only: one 512-wide row is 4 KiB
         assert retained < 1024, retained
-        after = [list(eng.weights), list(eng.momentum), list(eng.fwd_cache_send),
-                 list(eng.bwd_cache_recv)]
+        after = [list(eng.weights), list(eng.momentum),
+                 [link.cache for links in eng.links for link in links]]
         assert all(a is b for got, had in zip(after, state) for a, b in zip(got, had))
         assert not any(np.array_equal(a, b) for a, b in zip(eng.weights, before))
         assert eng.second_moment == []  # only Adam keeps a second moment

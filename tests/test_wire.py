@@ -112,9 +112,9 @@ class TestDecodeErrors:
 
     def test_natural_byte_0x80_is_reserved(self):
         # sign bit over exponent offset 0 would be -2^-64, outside [-63, 63]
-        body = wire.WireBody(fmt=wire.FMT_NATURAL, dim=2, codes=np.array([64, 0x80]))
+        msg = struct.pack("<IHBB", 0, 0, 0, wire.FMT_NATURAL) + bytes([64, 0x80])
         with pytest.raises(DecodeError):
-            wire.decode_message(wire.encode_message(0, 0, 0, body), 2)
+            wire.decode_message(msg, 2)
 
     def test_direction_beyond_backward(self):
         pay = comp.compress(comp.identity_spec(), np.ones(2))
@@ -138,6 +138,23 @@ class TestDecodeErrors:
             wire.decode_message(msg, 4)
         _, rec = wire.decode_message(msg, 10)  # the same message fits a wider boundary
         npt.assert_array_equal(rec, [0.0] * 9 + [2.0])
+
+
+class TestEncodeErrors:
+    """The encoder refuses what the decoder would reject."""
+
+    def test_direction_beyond_backward(self):
+        body = comp.compress(comp.identity_spec(), np.ones(2)).body
+        with pytest.raises(ConfigurationError, match="direction 7"):
+            wire.encode_message(0, 0, 7, body)
+
+    @pytest.mark.parametrize("compose", [False, True])
+    def test_natural_byte_0x80(self, compose):
+        body = wire.WireBody(fmt=wire.FMT_NATURAL, dim=2, codes=np.array([64, 0x80]))
+        if compose:
+            body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=4, indices=np.array([0, 3]), inner=body)
+        with pytest.raises(ConfigurationError, match="0x80"):
+            wire.encode_message(0, 0, 0, body)
 
 
 class TestTransferLedger:
