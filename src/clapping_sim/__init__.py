@@ -5,7 +5,7 @@ harness, and independent verification oracles."""
 
 from .compressors import (CompressedPayload, CompressorSpec, compress, compress_batch,
                           contraction_bound, empirical_contraction)
-from .engine import AlgoConfig, IterationMetrics, PipelineEngine, StreamingInputs
+from .engine import AlgoConfig, PipelineEngine, StreamingInputs
 from .errors import (ConfigurationError, ContractViolation, DecodeError,
                      UnsupportedConfiguration)
 from .harness import ExperimentConfig, load_config, memory_calculator, run_experiment
@@ -18,8 +18,8 @@ from .wire import TransferLedger, WireBody, decode_message, encode_message
 __all__ = [
     "AlgoConfig", "CheckReport", "CompressedPayload", "CompressorSpec",
     "ConfigurationError", "ContractViolation", "DecodeError", "ExperimentConfig",
-    "IterationMetrics", "ModelChain", "OptimizerConfig", "PipelineEngine",
-    "SamplerState", "Schedule", "StageSpec", "StreamingInputs", "TransferLedger",
+    "ModelChain", "OptimizerConfig", "PipelineEngine", "SamplerState", "Schedule",
+    "StageSpec", "StreamingInputs", "TransferLedger",
     "UnsupportedConfiguration", "WireBody", "adam_update", "chain_gradients",
     "chain_loss", "compress", "compress_batch", "contraction_bound",
     "decode_message", "empirical_contraction", "encode_message", "lazy_sample",

@@ -77,7 +77,6 @@ class CompressorSpec:
     bits: int = 0
     amplitude: float = 0.0
     inner: tuple = ()
-    seed_stream: str = ""
 
     def __post_init__(self):
         if self.kind not in KINDS:

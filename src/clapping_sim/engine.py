@@ -31,8 +31,7 @@ import numpy as np
 from . import compressors as comp
 from . import stages as st
 from . import wire
-from .errors import (ConfigurationError, ContractViolation, DivergenceError,
-                     UnsupportedConfiguration)
+from .errors import ConfigurationError, DivergenceError, UnsupportedConfiguration
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from .rng import named_stream
 from .sampling import SINGLE, SamplerState, Schedule, lazy_sample
@@ -128,18 +127,6 @@ class Link(NamedTuple):
     cache: np.ndarray | None
 
 
-@dataclass
-class IterationMetrics:
-    step: int
-    f_fu: bool
-    refreshed: int
-    loss: float
-    u_norm: float
-    fwd_bytes: int
-    bwd_bytes: int
-    sim_seconds: float
-
-
 class PipelineEngine:
     """One simulated run. Instances are single-threaded and hold all
     worker state; two engines with the same config and seed produce
@@ -153,7 +140,6 @@ class PipelineEngine:
         init_weights: list[np.ndarray] | None = None,
         bandwidth_bps: float = 100e6,
         latency_s: float = 0.0,
-        freeze_weights: bool = False,
     ):
         if chain.num_workers < 2:
             raise ConfigurationError("pipeline needs at least 2 workers")
@@ -162,7 +148,6 @@ class PipelineEngine:
             raise ConfigurationError(f"need one compressor per direction per {n_bound} boundaries")
         self.chain = chain
         self.config = config
-        self.freeze_weights = freeze_weights
         self.E = chain.num_workers
         self.B = config.batch_size
 
@@ -199,8 +184,6 @@ class PipelineEngine:
             dim = chain.boundary_dim(i)
             comp.check_width(spec, dim, f"boundary {i} {_DIRECTIONS[direction]}")
             stream = f"compressor/{('fwd', 'bwd')[direction]}/{i}"
-            if spec.seed_stream:
-                stream += f"/{spec.seed_stream}"
             mode = self.policy[direction]  # VariantPolicy starts (forward, backward)
             rows = {MODE_EF: self.B, MODE_PER_SAMPLE_EF: n_samples}.get(mode)
             return Link(mode, spec, named_stream(config.seed, stream),
@@ -321,17 +304,12 @@ class PipelineEngine:
 
     # -- one iteration ---------------------------------------------------
 
-    def run_iteration(self, t: int | None = None) -> IterationMetrics:
+    def run_iteration(self) -> bool:
         """Advance one step: lazy sample, forward sweep, backward sweep
-        with interleaved updates. Returns per-step metrics."""
-        expected = self.t + 1
-        if t is not None and t != expected:
-            raise ContractViolation(f"iterations must run in order, expected t={expected}")
-        t = expected
-
+        with interleaved updates. Returns whether the step drew a fresh
+        sample; byte and time totals are on ``self.ledger``."""
+        t = self.t + 1
         indices, refreshed, f_fu = lazy_sample(self.sampler, self._rng_sample)
-        fwd0 = self.ledger.total_bytes(wire.FORWARD)
-        bwd0 = self.ledger.total_bytes(wire.BACKWARD)
 
         tapes = []
         y = self._rows(indices)
@@ -340,7 +318,6 @@ class PipelineEngine:
             y = tapes[-1].pop()  # the output; what remains is the backward tape
             if e < self.E:
                 y = self.forward_exchange(e - 1, y, refreshed, indices)
-        loss = float(np.mean(y))
 
         gamma = self.config.optimizer.gamma.value_at(t)
         m_t = self.config.optimizer.momentum.value_at(t)
@@ -349,29 +326,16 @@ class PipelineEngine:
                 u[:] = 0.0
 
         v = np.ones((self.B, 1))
-        u_sq = 0.0
         for e in range(self.E, 0, -1):
             u_e, v_in = self._worker_backward(e, tapes.pop(), v)
             self._update_worker(e, u_e, gamma, m_t)
-            u_sq += float(self.momentum[e - 1] @ self.momentum[e - 1])
             if e > 1:
                 v = self.backward_exchange(e - 2, v_in, refreshed)
 
         self.t = t
-        return IterationMetrics(
-            step=t,
-            f_fu=bool(f_fu),
-            refreshed=int(np.sum(refreshed)),
-            loss=loss,
-            u_norm=float(np.sqrt(u_sq)),
-            fwd_bytes=self.ledger.total_bytes(wire.FORWARD) - fwd0,
-            bwd_bytes=self.ledger.total_bytes(wire.BACKWARD) - bwd0,
-            sim_seconds=self.ledger.simulated_seconds,
-        )
+        return f_fu
 
     def _update_worker(self, e: int, grad: np.ndarray, gamma: float, m_t: float) -> None:
-        if self.freeze_weights:
-            return
         opt = self.config.optimizer
         i = e - 1
         if len(grad) == 0:
@@ -383,9 +347,9 @@ class PipelineEngine:
             adam_update(self.momentum[i], self.second_moment[i], self.weights[i], grad,
                         m_t, opt.beta2, opt.eps, gamma)
 
-    def run(self, steps: int | None = None) -> list[IterationMetrics]:
-        steps = self.config.total_steps if steps is None else steps
-        return [self.run_iteration() for _ in range(steps)]
+    def run(self, steps: int | None = None) -> None:
+        for _ in range(self.config.total_steps if steps is None else steps):
+            self.run_iteration()
 
 
 def _ef_update(spec: comp.CompressorSpec, x: np.ndarray, cache: np.ndarray, rng):

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import difflib
-import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -113,28 +112,32 @@ def parse_schedule(key: str, text: str) -> Schedule:
         raise ConfigurationError(f"{key}: {e}") from None
 
 
+# compressor syntax: name -> (spec builder, argument parser; None takes no argument)
+_COMPRESSOR_SYNTAX = {
+    "identity": (comp.identity_spec, None),
+    "topk": (comp.topk_spec, _int),
+    "randk": (comp.randk_spec, _int),
+    "quant": (comp.quant_spec, _int),
+    "natural": (comp.natural_spec, None),
+    "inject_uniform": (comp.inject_uniform_spec, _float),
+}
+
+
 def parse_compressor(key: str, text: str) -> comp.CompressorSpec:
     members = []
     for token in str(text).split("+"):
         token = token.strip()
-        name, _, arg = token.partition(":")
+        name, colon, arg = token.partition(":")
+        if name not in _COMPRESSOR_SYNTAX:
+            raise ConfigurationError(f"{key}: unknown compressor {name!r}")
+        make, parse = _COMPRESSOR_SYNTAX[name]
+        if parse is None and colon:
+            raise ConfigurationError(f"{key}: {name} takes no argument, got {token!r}")
+        args = () if parse is None else (parse(key, arg),)
         try:
-            if name == "identity":
-                members.append(comp.identity_spec())
-            elif name == "topk":
-                members.append(comp.topk_spec(int(arg)))
-            elif name == "randk":
-                members.append(comp.randk_spec(int(arg)))
-            elif name == "quant":
-                members.append(comp.quant_spec(int(arg)))
-            elif name == "natural":
-                members.append(comp.natural_spec())
-            elif name == "inject_uniform":
-                members.append(comp.inject_uniform_spec(float(arg)))
-            else:
-                raise ConfigurationError(f"{key}: unknown compressor {name!r}")
-        except ValueError:
-            raise ConfigurationError(f"{key}: bad compressor argument {arg!r}") from None
+            members.append(make(*args))
+        except ConfigurationError as exc:  # the spec's own range check
+            raise ConfigurationError(f"{key}: {exc}") from None
     return members[0] if len(members) == 1 else comp.compose_spec(*members)
 
 
@@ -297,7 +300,8 @@ def build_problem(cfg: ExperimentConfig):
 
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Path:
-    """Run the configured experiment and write the metrics CSV."""
+    """Run the configured experiment, writing each metrics row as it is
+    logged, so a run that stops early keeps the rows before the stop."""
     chain, inputs, init, data = build_problem(cfg)
     engine = PipelineEngine(
         chain, cfg.algo, inputs, init_weights=init,
@@ -306,21 +310,24 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     del init  # the engine holds its own copy
     f_star = ds.compute_f_star(data, chain) if data is not None else 0.0
     out = Path(out_path) if out_path is not None else Path(cfg.output)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(out, "w", newline="")
+    except OSError as exc:
+        raise ConfigurationError(f"{out}: cannot write metrics file ({exc.strerror})") from None
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for t in range(1, cfg.algo.total_steps + 1):
-        metrics = engine.run_iteration()
-        if t % cfg.log_every == 0 or t == cfg.algo.total_steps:
-            loss, gnorm = _exact_objective(chain, inputs, engine)
-            writer.writerow([
-                t, repr(loss), repr(loss - f_star), repr(gnorm),
-                engine.ledger.total_bytes(0), engine.ledger.total_bytes(1),
-                repr(engine.ledger.simulated_seconds), int(metrics.f_fu),
-            ])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(buf.getvalue())
+    with fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        for t in range(1, cfg.algo.total_steps + 1):
+            f_fu = engine.run_iteration()
+            if t % cfg.log_every == 0 or t == cfg.algo.total_steps:
+                loss, gnorm = _exact_objective(chain, inputs, engine)
+                writer.writerow([
+                    t, repr(loss), repr(loss - f_star), repr(gnorm),
+                    engine.ledger.total_bytes(0), engine.ledger.total_bytes(1),
+                    repr(engine.ledger.simulated_seconds), int(f_fu),
+                ])
     return out
 
 

@@ -273,14 +273,14 @@ class TransferLedger:
         if self.bandwidth_bps <= 0:
             raise ConfigurationError("bandwidth must be positive")
 
-    def record(self, boundary: int, direction: int, nbytes: int, value_nbytes: int | None = None,
-               count: int = 1) -> None:
+    def record(self, boundary: int, direction: int, nbytes: int,
+               value_nbytes: int | None = None) -> None:
         key = (boundary, direction)
         self.payload_bytes[key] = self.payload_bytes.get(key, 0) + int(nbytes)
         self.value_bytes[key] = self.value_bytes.get(key, 0) + int(
             nbytes if value_nbytes is None else value_nbytes
         )
-        self.messages[key] = self.messages.get(key, 0) + count
+        self.messages[key] = self.messages.get(key, 0) + 1
 
     def total_bytes(self, direction: int | None = None) -> int:
         return sum(v for (b, d), v in self.payload_bytes.items()

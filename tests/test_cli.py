@@ -3,6 +3,7 @@ import json
 import pytest
 
 from clapping_sim.cli import main
+from clapping_sim.engine import PipelineEngine
 
 CONFIG = """
 dataset.kind = synthetic_logistic
@@ -120,6 +121,9 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
     ("algo.variant = no_comp\noptimizer.gamma = inf", [], "optimizer.gamma"),
     ("algo.variant = no_comp\noptimizer.momentum = 2", [], "optimizer.momentum"),
     ("algo.variant = no_comp\ncompressor.forward = topk:500", [], "boundary 0 forward"),
+    ("algo.variant = no_comp\ncompressor.forward = identity:5", [], "compressor.forward"),
+    ("algo.variant = no_comp\ncompressor.backward = natural:9", [], "compressor.backward"),
+    ("algo.variant = direct\ncompressor.forward = inject_uniform:nan", [], "compressor.forward"),
     ("algo.variant = no_comp\ndataset.kind = synthetic_mlp", [], "dataset.dim"),
     ("algo.variant = no_comp\ndataset.kind = synthetic_mlp\nmodel.dims = 4,0", [],
      "model.dims"),
@@ -146,7 +150,28 @@ def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, na
 def test_divergence_is_one_line_and_exit_code_3(tmp_path, capsys):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 200\n"
-                   "algo.variant = clapping_fc\noptimizer.gamma = 1e6\n")
+                   "algo.variant = clapping_fc\noptimizer.gamma = 1e6\nrun.log_every = 10\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "m.csv")]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "diverged: step 52: non-finite forward message at boundary 0, sent by worker 1"]
+    # the rows logged before the blow-up are kept
+    lines = (tmp_path / "m.csv").read_text().splitlines()
+    assert lines[0].startswith("step,loss")
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [10, 20, 30, 40, 50]
+
+
+def test_unwritable_output_fails_before_the_first_step(config_path, tmp_path, capsys,
+                                                         monkeypatch):
+    steps = []
+    real = PipelineEngine.run_iteration
+
+    def counting(self):
+        steps.append(self.t)
+        return real(self)
+
+    monkeypatch.setattr(PipelineEngine, "run_iteration", counting)
+    assert main(["run", str(config_path), "--out", str(tmp_path)]) == 2  # a directory
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        f"config error: {tmp_path}: cannot write metrics file (")
+    assert steps == []

@@ -68,6 +68,18 @@ class TestConfigParsing:
         assert spec.kind == "compose"
         assert [m.kind for m in spec.inner] == ["topk", "uniform_quant"]
 
+    @pytest.mark.parametrize("syntax, message", [
+        ("bogus", "unknown compressor 'bogus'"),
+        ("topk:2+sparse:3", "unknown compressor 'sparse'"),
+        ("natural:", "natural takes no argument"),
+        ("topk:1+identity:0", "identity takes no argument"),
+        ("topk:x", "expected an integer, got 'x'"),
+        ("quant:1", "uniform_quant bits must be in"),
+    ])
+    def test_bad_compressor_syntax_is_named(self, syntax, message):
+        with pytest.raises(ConfigurationError, match=f"^k: {message}"):
+            H.parse_compressor("k", syntax)
+
     def test_bad_schedule_entry(self):
         with pytest.raises(ConfigurationError, match="optimizer.gamma"):
             H.parse_schedule("optimizer.gamma", "1:0.1,oops")
