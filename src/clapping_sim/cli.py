@@ -30,8 +30,8 @@ def _cmd_fstar(args) -> int:
     cfg = harness.load_config(args.config)
     if cfg.dataset_kind != "synthetic_logistic":
         raise ConfigurationError("dataset.kind: reference optimum needs the convex logistic dataset")
-    chain, _, _, data = harness.build_problem(cfg)
-    value = ds.compute_f_star(data, chain)
+    *_, data = harness.build_problem(cfg)
+    value = ds.compute_f_star(data)
     print(f"f_star = {value!r}")
     return 0
 

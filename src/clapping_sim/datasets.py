@@ -7,21 +7,17 @@ rows (-label * xi, -label). The second parameter of each normal is read
 as a VARIANCE by default; set ``second_param_is_std`` to treat it as a
 standard deviation instead.
 
-The optimal objective value is found by full-batch gradient descent with
-step 1/L (L from power iteration on the curvature bound) until the
-gradient norm falls below 1e-10, and cached on disk keyed by a hash of
-the dataset and model. The cache directory honors the
-CLAPPING_SIM_CACHE_DIR environment variable.
+The optimal objective value of the logistic chain is found by full-batch
+gradient descent with step 1/L (L from power iteration on the curvature
+bound) until the gradient norm falls below ``GRAD_TOL``. It is solved once
+per process and kept in memory, keyed by the dataset's content hash;
+nothing is written to disk.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -103,58 +99,34 @@ def _curvature_bound(x_rows: np.ndarray, c_r: float) -> float:
     return 0.25 * lam + 2.0 * c_r
 
 
-def _cache_dir() -> Path:
-    env = os.environ.get("CLAPPING_SIM_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "clapping_sim"
+GRAD_TOL = 1e-10
+MAX_ITERS = 10**6
+_F_STAR: dict[str, float] = {}  # content hash -> optimum, for this process
 
 
-def compute_f_star(
-    dataset: LogisticDataset,
-    chain: st.ModelChain | None = None,
-    grad_tol: float = 1e-10,
-    max_iters: int = 10**6,
-    use_cache: bool = True,
-) -> float:
-    """Minimum of the full-batch objective by gradient descent.
-
-    Deterministic; raises with the final gradient norm if the budget is
-    exhausted before the tolerance is met.
+def compute_f_star(dataset: LogisticDataset) -> float:
+    """Minimum of the dataset's full-batch logistic objective by gradient
+    descent. Deterministic, and solved once per process: a later call on
+    the same data returns the same float. Raises with the final gradient
+    norm if MAX_ITERS iterations do not reach GRAD_TOL.
     """
-    chain = chain or st.logistic_chain(dataset.dim, dataset.c_r)
-    key = hashlib.sha256(
-        (dataset.content_hash() + repr(tuple((s.kind, s.input_dim, s.output_dim) for s in chain.stages))).encode()
-    ).hexdigest()
-    cache_file = _cache_dir() / f"fstar-{key}.json"
-    if use_cache and cache_file.exists():
-        return float(json.loads(cache_file.read_text())["f_star"])
-
+    key = dataset.content_hash()
+    if key in _F_STAR:
+        return _F_STAR[key]
+    chain = st.logistic_chain(dataset.dim, dataset.c_r)
     x_rows = dataset.chain_inputs()
     step = 1.0 / _curvature_bound(x_rows, dataset.c_r)
     w_all = [np.zeros(s.param_dim) for s in chain.stages]
-    loss = np.inf
-    for it in range(max_iters):
+    for _ in range(MAX_ITERS):
         loss, grads = st.chain_gradients(chain, x_rows, w_all)
         gnorm = float(np.sqrt(sum(float(g @ g) for g in grads)))
-        if gnorm <= grad_tol:
+        if gnorm <= GRAD_TOL:
             break
         w_all = [w - step * g for w, g in zip(w_all, grads)]
     else:
         raise ConfigurationError(
-            f"optimum search did not converge in {max_iters} iterations "
+            f"optimum search did not converge in {MAX_ITERS} iterations "
             f"(final gradient norm {gnorm:.3e})"
         )
-    if use_cache:
-        # write through a temp file in the same directory, so a reader never
-        # sees a partial file and a failed write leaves nothing behind
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_file.parent, prefix=".fstar-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump({"f_star": loss, "grad_norm": gnorm, "iters": it}, fh)
-            os.replace(tmp, cache_file)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    return float(loss)
+    _F_STAR[key] = float(loss)
+    return _F_STAR[key]

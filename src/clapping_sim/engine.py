@@ -10,7 +10,8 @@ message is formed from the same iterate it was computed against.
 
 Each boundary and direction is one ``Link``. Where its mode reads a
 cache, the link holds one array for both endpoints' identical copies.
-A non-finite message raises ``DivergenceError`` before it is sent.
+A non-finite message, or a finite one its compressor cannot encode,
+raises ``DivergenceError`` naming the step, boundary and sender.
 
 The variants differ only in what each boundary sends in each direction.
 ``VARIANT_POLICY`` gives each one a mode per direction, whether it samples
@@ -31,7 +32,8 @@ import numpy as np
 from . import compressors as comp
 from . import stages as st
 from . import wire
-from .errors import ConfigurationError, DivergenceError, UnsupportedConfiguration
+from .errors import (ConfigurationError, ContractViolation, DivergenceError,
+                     UnsupportedConfiguration)
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from .rng import named_stream
 from .sampling import SINGLE, SamplerState, Schedule, lazy_sample
@@ -275,29 +277,33 @@ class PipelineEngine:
         """Send x across boundary i on its link; updates the link's cache
         and the ledger, returns the reconstruction the receiver uses."""
         link = self.links[direction][i]
-        if not np.isfinite(x).all():  # sent by worker i + 1 forward, i + 2 backward
-            raise DivergenceError(f"step {self.t + 1}: non-finite {_DIRECTIONS[direction]} "
-                                  f"message at boundary {i}, sent by worker {i + 1 + direction}")
-        if link.mode == MODE_DENSE:
-            recon = x.copy()
-            nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
-        elif link.mode == MODE_DIRECT:
-            recon, nbytes, value_bytes = comp.compress_batch(link.spec, x, link.rng)
-        else:
-            rows = sample_idx if link.mode == MODE_PER_SAMPLE_EF else slice(None)
-            cache = link.cache[rows]
-            if self.policy.fresh_rows_dense and fresh_rows.any():
-                stale = ~fresh_rows
+        if not np.isfinite(x).all():
+            raise DivergenceError(f"step {self.t + 1}: non-finite {_message_at(direction, i)}")
+        try:
+            if link.mode == MODE_DENSE:
                 recon = x.copy()
-                nbytes = value_bytes = (wire.sizes(wire.FMT_DENSE, x.shape[1])[0]
-                                        * int(fresh_rows.sum()))
-                if stale.any():
-                    recon[stale], nb, vb = _ef_update(link.spec, x[stale], cache[stale], link.rng)
-                    nbytes += nb
-                    value_bytes += vb
+                nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
+            elif link.mode == MODE_DIRECT:
+                recon, nbytes, value_bytes = comp.compress_batch(link.spec, x, link.rng)
             else:
-                recon, nbytes, value_bytes = _ef_update(link.spec, x, cache, link.rng)
-            link.cache[rows] = recon
+                rows = sample_idx if link.mode == MODE_PER_SAMPLE_EF else slice(None)
+                cache = link.cache[rows]
+                if self.policy.fresh_rows_dense and fresh_rows.any():
+                    stale = ~fresh_rows
+                    recon = x.copy()
+                    nbytes = value_bytes = (wire.sizes(wire.FMT_DENSE, x.shape[1])[0]
+                                            * int(fresh_rows.sum()))
+                    if stale.any():
+                        recon[stale], nb, vb = _ef_update(link.spec, x[stale], cache[stale],
+                                                          link.rng)
+                        nbytes += nb
+                        value_bytes += vb
+                else:
+                    recon, nbytes, value_bytes = _ef_update(link.spec, x, cache, link.rng)
+                link.cache[rows] = recon
+        except ContractViolation as exc:  # finite, but its compressor cannot encode it
+            where = _message_at(direction, i)
+            raise DivergenceError(f"step {self.t + 1}: {where}: {exc}") from exc
 
         self.ledger.record(i, direction, nbytes, value_bytes)
         return recon
@@ -350,6 +356,11 @@ class PipelineEngine:
     def run(self, steps: int | None = None) -> None:
         for _ in range(self.config.total_steps if steps is None else steps):
             self.run_iteration()
+
+
+def _message_at(direction: int, i: int) -> str:
+    """Names a message and its sender: worker i + 1 forward, i + 2 backward."""
+    return f"{_DIRECTIONS[direction]} message at boundary {i}, sent by worker {i + 1 + direction}"
 
 
 def _ef_update(spec: comp.CompressorSpec, x: np.ndarray, cache: np.ndarray, rng):

@@ -180,8 +180,9 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         value = parse(key, str(raw[key])) if parse else str(raw[key])
         if allowed and value not in allowed:
             raise ConfigurationError(f"{key}: expected one of {', '.join(allowed)}, got {value!r}")
-        if minimum is not None and min(value if isinstance(value, tuple) else (value,)) < minimum:
-            raise ConfigurationError(f"{key}: must be >= {minimum}, got {value}")
+        values = value if isinstance(value, (tuple, frozenset)) else (value,)
+        if minimum is not None and (bad := sorted(v for v in values if v < minimum)):
+            raise ConfigurationError(f"{key}: must be >= {minimum}, got {', '.join(map(str, bad))}")
         if above is not None and value <= above:
             raise ConfigurationError(f"{key}: must be > {above}, got {value}")
         return value
@@ -225,7 +226,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         sampler_rule=read("algo.sampler_rule", default=SINGLE if batch == 1 else BATCH_BATCHWISE,
                           allowed=RULES),
         p_schedule=read("sampling.p", parse_schedule, Schedule.constant(1.0)),
-        momentum_reset_steps=read("optimizer.reset_steps", _int_set, frozenset()),
+        momentum_reset_steps=read("optimizer.reset_steps", _int_set, frozenset(), minimum=1),
         force_fresh_at_step_2=read("algo.force_fresh_step2", _bool, False),
     )
     logistic = {} if mlp else dict(
@@ -308,7 +309,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         bandwidth_bps=cfg.bandwidth_bps, latency_s=cfg.latency_s,
     )
     del init  # the engine holds its own copy
-    f_star = ds.compute_f_star(data, chain) if data is not None else 0.0
+    f_star = ds.compute_f_star(data) if data is not None else 0.0
     out = Path(out_path) if out_path is not None else Path(cfg.output)
     try:
         out.parent.mkdir(parents=True, exist_ok=True)

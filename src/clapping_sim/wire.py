@@ -11,12 +11,13 @@ Header (8 bytes): u32 step, u16 boundary, u8 direction (0 forward,
 Body by format tag:
 
   DENSE    d x 4-byte IEEE-754 float32
-  SPARSE   k x (u32 index + float32 value), used by top-k and rand-k
+  SPARSE   k x (u32 index + float32 value), indices strictly ascending,
+           used by top-k and rand-k
   QUANT    float32 scale + ceil(d*bits/8) packed codes (bit-packed,
            little-endian within each byte)
   NATURAL  d bytes, each 1 sign bit (high) + 7-bit exponent offset
            (exponent+64 in [1,127]; 0 is the value zero; 0x80 is invalid)
-  COMPOSE  u32 nonzero count + count x u32 indices (ascending) + the
+  COMPOSE  u32 nonzero count + count x u32 indices (strictly ascending) + the
            value block of the final member's format over those values
 
 Values travel as float32, so a decoded DENSE/SPARSE body equals the
@@ -60,7 +61,7 @@ class WireBody:
     fmt: int
     dim: int
     values: np.ndarray | None = None   # float64, encoded as float32
-    indices: np.ndarray | None = None  # uint32-compatible ints, ascending for COMPOSE
+    indices: np.ndarray | None = None  # uint32-compatible ints, strictly ascending
     scale: float = 0.0                 # float32 quant scale
     codes: np.ndarray | None = None    # signed quant codes or natural bytes
     bits: int = 0
@@ -136,9 +137,18 @@ def _unpack_bits(data: bytes, n: int, bits: int) -> np.ndarray:
 
 def _u32_indices(indices) -> np.ndarray:
     idx = np.asarray(indices)
-    if len(idx) and int(idx.max()) >= 2**32:
-        raise ConfigurationError("index overflow: dimensions beyond u32 are unsupported")
+    if (idx[1:] <= idx[:-1]).any():
+        raise ConfigurationError("indices must be strictly ascending")
+    if len(idx) and not (0 <= int(idx[0]) and int(idx[-1]) < 2**32):
+        raise ConfigurationError("index outside u32: dimensions beyond u32 are unsupported")
     return idx.astype("<u4")
+
+
+def _check_decoded_indices(idx: np.ndarray, dim: int, fmt_name: str) -> None:
+    if (idx[1:] <= idx[:-1]).any():
+        raise DecodeError(f"{fmt_name} indices not strictly ascending")
+    if len(idx) and idx[-1] >= dim:
+        raise DecodeError(f"{fmt_name} index out of range")
 
 
 def _encode_body(body: WireBody) -> bytes:
@@ -208,8 +218,7 @@ def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner_fmt: int = FMT
         if len(raw) % 8:
             raise DecodeError("sparse body length mismatch")
         entries = np.frombuffer(raw, dtype=_SPARSE_ENTRY)
-        if np.any(entries["i"] >= dim):
-            raise DecodeError("sparse index out of range")
+        _check_decoded_indices(entries["i"], dim, "sparse")
         out = np.zeros(dim, dtype=np.float64)
         out[entries["i"]] = entries["v"]
         return out
@@ -228,8 +237,7 @@ def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner_fmt: int = FMT
         if len(raw) < 4 + 4 * count:
             raise DecodeError("compose body length mismatch")
         idx = np.frombuffer(raw, dtype="<u4", count=count, offset=4)
-        if np.any(idx >= dim):
-            raise DecodeError("compose index out of range")
+        _check_decoded_indices(idx, dim, "compose")
         vals = _decode_body(inner_fmt, raw[4 + 4 * count :], count, bits)
         out = np.zeros(dim, dtype=np.float64)
         out[idx] = vals

@@ -21,11 +21,6 @@ from clapping_sim.sampling import BATCH_BATCHWISE, BATCH_SAMPLEWISE, Schedule
 BENCH_VARIANTS = ("no_comp", "direct", "forward_ef", "clapping_fc", "clapping_fu")
 
 
-@pytest.fixture(autouse=True)
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(tmp_path / "cache"))
-
-
 def report(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)

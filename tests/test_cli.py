@@ -21,11 +21,6 @@ run.log_every = 2
 """
 
 
-@pytest.fixture(autouse=True)
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(tmp_path / "cache"))
-
-
 @pytest.fixture
 def config_path(tmp_path):
     path = tmp_path / "run.cfg"
@@ -136,6 +131,10 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
      [], "algo.batch_size"),
     ("algo.variant = no_comp\nalgo.batch_size = 4\nalgo.sampler_rule = single", [],
      "algo.batch_size"),
+    ("algo.variant = no_comp\noptimizer.reset_steps = 0,-4", [],
+     "optimizer.reset_steps: must be >= 1, got -4, 0"),
+    ("algo.variant = no_comp\noptimizer.reset_steps = 5,0", [],
+     "optimizer.reset_steps: must be >= 1, got 0"),
 ])
 def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, names):
     bad = tmp_path / "bad.cfg"
@@ -147,17 +146,35 @@ def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, na
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
-def test_divergence_is_one_line_and_exit_code_3(tmp_path, capsys):
+@pytest.mark.parametrize("setting, reason, logged", [
+    ("algo.variant = clapping_fc",
+     "step 52: non-finite forward message at boundary 0, sent by worker 1", [10, 20, 30, 40, 50]),
+    # finite, but past what the quant scale can carry as a float32
+    ("algo.variant = direct\ncompressor.forward = quant:8",
+     "step 7: forward message at boundary 0, sent by worker 1: uniform_quant: |x| = 5.763e+39 "
+     "exceeds the float32 scale limit 3.403e+38", []),
+])
+def test_divergence_is_one_line_and_exit_code_3(tmp_path, capsys, setting, reason, logged):
     cfg = tmp_path / "diverge.cfg"
     cfg.write_text("dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 200\n"
-                   "algo.variant = clapping_fc\noptimizer.gamma = 1e6\nrun.log_every = 10\n")
+                   f"{setting}\noptimizer.gamma = 1e6\nrun.log_every = 10\n")
     assert main(["run", str(cfg), "--out", str(tmp_path / "m.csv")]) == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "diverged: step 52: non-finite forward message at boundary 0, sent by worker 1"]
+    assert capsys.readouterr().err.splitlines() == [f"diverged: {reason}"]
     # the rows logged before the blow-up are kept
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0].startswith("step,loss")
-    assert [int(line.split(",")[0]) for line in lines[1:]] == [10, 20, 30, 40, 50]
+    assert [int(line.split(",")[0]) for line in lines[1:]] == logged
+
+
+def test_run_writes_nothing_but_its_csv(tmp_path, monkeypatch):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    monkeypatch.setenv("HOME", str(blocker / "home"))  # nothing can be created there
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SMALL + "algo.variant = clapping_fc\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "m.csv")]) == 0
+    assert len((tmp_path / "m.csv").read_text().splitlines()) == 1 + 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "m.csv", "run.cfg"]
 
 
 def test_unwritable_output_fails_before_the_first_step(config_path, tmp_path, capsys,

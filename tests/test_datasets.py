@@ -8,8 +8,9 @@ from clapping_sim.errors import ConfigurationError
 
 
 @pytest.fixture(autouse=True)
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(tmp_path / "cache"))
+def fresh_memo(monkeypatch):
+    """Each test solves its optimum cold."""
+    monkeypatch.setattr(ds, "_F_STAR", {})
 
 
 class TestGeneration:
@@ -63,9 +64,10 @@ class TestFStar:
 
     def test_deterministic_across_calls(self):
         data = ds.gen_logistic_dataset(128, 16, seed=8)
-        a = ds.compute_f_star(data, use_cache=False)
-        b = ds.compute_f_star(data, use_cache=False)
-        assert abs(a - b) <= 1e-12
+        a = ds.compute_f_star(data)
+        ds._F_STAR.clear()
+        b = ds.compute_f_star(data)
+        assert np.float64(a).tobytes() == np.float64(b).tobytes()
 
     def test_below_loss_at_origin(self):
         data = ds.gen_logistic_dataset(128, 16, seed=9)
@@ -74,36 +76,30 @@ class TestFStar:
 
     def test_gradient_norm_below_tolerance_at_optimum(self):
         data = ds.gen_logistic_dataset(64, 8, seed=10)
-        chain = st.logistic_chain(8, data.c_r)
-        f = ds.compute_f_star(data, chain, use_cache=False)
+        f = ds.compute_f_star(data)
         # re-derive: rerun and confirm the returned value is a true local min
+        chain = st.logistic_chain(8, data.c_r)
         loss0, _ = st.chain_gradients(chain, data.chain_inputs(),
                                       [np.zeros(s.param_dim) for s in chain.stages])
         assert f <= loss0
 
-    def test_cache_roundtrip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(tmp_path / "fstar"))
+    def test_second_call_does_not_solve_again(self, monkeypatch):
         data = ds.gen_logistic_dataset(64, 8, seed=11)
         a = ds.compute_f_star(data)
-        cached = list((tmp_path / "fstar").glob("fstar-*.json"))
-        assert len(cached) == 1
-        b = ds.compute_f_star(data)  # served from cache
-        assert a == b
 
-    def test_failed_cache_write_leaves_no_file(self, tmp_path, monkeypatch):
-        cache = tmp_path / "fstar"
-        monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(cache))
+        def solve(*args):
+            raise AssertionError("the optimum was solved a second time")
 
-        def failing_replace(src, dst):
-            raise OSError("disk full")
+        monkeypatch.setattr(st, "chain_gradients", solve)
+        assert ds.compute_f_star(data) == a
 
-        monkeypatch.setattr(ds.os, "replace", failing_replace)
-        with pytest.raises(OSError, match="disk full"):
-            ds.compute_f_star(ds.gen_logistic_dataset(64, 8, seed=11))
-        assert not list(cache.glob("fstar-*.json"))
-        assert not list(cache.iterdir())  # nor a stray temp file
+    def test_writes_nothing_to_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        ds.compute_f_star(ds.gen_logistic_dataset(64, 8, seed=11))
+        assert not list(tmp_path.iterdir())
 
-    def test_budget_exhaustion_reports_gradient(self):
+    def test_budget_exhaustion_reports_gradient(self, monkeypatch):
+        monkeypatch.setattr(ds, "MAX_ITERS", 3)
         data = ds.gen_logistic_dataset(64, 8, seed=12)
-        with pytest.raises(ConfigurationError, match="gradient norm"):
-            ds.compute_f_star(data, max_iters=3, use_cache=False)
+        with pytest.raises(ConfigurationError, match="in 3 iterations .*gradient norm"):
+            ds.compute_f_star(data)

@@ -381,6 +381,22 @@ class TestDivergence:
             "step 52: non-finite forward message at boundary 0, sent by worker 1")
         assert eng.t == 51
 
+    @pytest.mark.parametrize("variant", [DIRECT, FORWARD_EF, AQ_SGD, CLAPPING_FC])
+    def test_unencodable_message_is_named_at_its_step(self, variant):
+        # the same blow-up on an 8-bit quant link: the activation is still finite
+        # at step 7, but its peak exceeds the float32 scale the body carries
+        cfg = harness.config_from_mapping({
+            "dataset.n": "16", "dataset.dim": "4", "algo.total_steps": "200",
+            "algo.variant": variant, "optimizer.gamma": "1e6", "compressor.forward": "quant:8",
+        })
+        chain, inputs, init, _ = harness.build_problem(cfg)
+        eng = PipelineEngine(chain, cfg.algo, inputs, init_weights=init)
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as caught:
+            eng.run()
+        assert str(caught.value).startswith(
+            "step 7: forward message at boundary 0, sent by worker 1: uniform_quant: |x| = ")
+        assert eng.t == 6
+
     def test_backward_message_names_its_sender(self, logistic_setup):
         chain, X, init = logistic_setup
         eng = PipelineEngine(chain, make_config(CLAPPING_FC, chain), X, init_weights=init)

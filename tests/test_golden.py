@@ -148,12 +148,11 @@ def csv_digests(out_dir: Path) -> dict[str, str]:
     return out
 
 
-def test_metrics_csvs_match_recorded_digests(tmp_path, monkeypatch):
+def test_metrics_csvs_match_recorded_digests(tmp_path):
     fingerprint = blas_fingerprint()
     recorded = DIGESTS.get(fingerprint)
     if recorded is None:
         pytest.skip(f"no golden digests recorded for {fingerprint!r}")
-    monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(tmp_path / "cache"))
     got = csv_digests(tmp_path)
     assert set(got) == set(recorded)
     changed = sorted(name for name in got if got[name] != recorded[name])
@@ -161,9 +160,7 @@ def test_metrics_csvs_match_recorded_digests(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    import os
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        os.environ["CLAPPING_SIM_CACHE_DIR"] = str(Path(tmp) / "cache")
         print(json.dumps({blas_fingerprint(): csv_digests(Path(tmp))}, indent=1, sort_keys=True))

@@ -29,11 +29,6 @@ run.log_every = 3
 """
 
 
-@pytest.fixture(autouse=True)
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("CLAPPING_SIM_CACHE_DIR", str(tmp_path / "cache"))
-
-
 class TestConfigParsing:
     def test_full_roundtrip(self):
         cfg = H.config_from_mapping(H.parse_config_text(CONFIG_TEXT))

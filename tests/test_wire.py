@@ -132,6 +132,19 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             wire.decode_message(self._compose_message(5, [1], [2.0]), 4)
 
+    @pytest.mark.parametrize("indices", [[3, 3], [5, 2]])
+    def test_sparse_indices_not_strictly_ascending(self, indices):
+        entries = np.zeros(2, dtype=[("i", "<u4"), ("v", "<f4")])
+        entries["i"], entries["v"] = indices, [1.0, 2.0]
+        msg = struct.pack("<IHBB", 0, 0, 0, wire.FMT_SPARSE) + entries.tobytes()
+        with pytest.raises(DecodeError, match="strictly ascending"):
+            wire.decode_message(msg, 8)
+
+    @pytest.mark.parametrize("indices", [[3, 3], [5, 2]])
+    def test_compose_indices_not_strictly_ascending(self, indices):
+        with pytest.raises(DecodeError, match="strictly ascending"):
+            wire.decode_message(self._compose_message(2, indices, [1.0, 2.0]), 8)
+
     def test_compose_index_out_of_range(self):
         msg = self._compose_message(1, [9], [2.0])
         with pytest.raises(DecodeError):
@@ -154,6 +167,22 @@ class TestEncodeErrors:
         if compose:
             body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=4, indices=np.array([0, 3]), inner=body)
         with pytest.raises(ConfigurationError, match="0x80"):
+            wire.encode_message(0, 0, 0, body)
+
+
+    @pytest.mark.parametrize("fmt", [wire.FMT_SPARSE, wire.FMT_COMPOSE])
+    @pytest.mark.parametrize("indices, reason", [
+        ([3, 3], "strictly ascending"), ([5, 2], "strictly ascending"),
+        ([-1, 2], "outside u32"),  # would be written as 2^32 - 1, out of order
+    ])
+    def test_indices_the_decoder_rejects(self, fmt, indices, reason):
+        values = np.array([1.0, 2.0])
+        if fmt == wire.FMT_SPARSE:
+            body = wire.WireBody(fmt=fmt, dim=8, indices=np.array(indices), values=values)
+        else:
+            body = wire.WireBody(fmt=fmt, dim=8, indices=np.array(indices),
+                                 inner=wire.WireBody(fmt=wire.FMT_DENSE, dim=2, values=values))
+        with pytest.raises(ConfigurationError, match=reason):
             wire.encode_message(0, 0, 0, body)
 
 
