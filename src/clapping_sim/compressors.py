@@ -145,7 +145,7 @@ def check_width(spec: CompressorSpec, dim: int, where: str = "compressor") -> No
 
 def _check_input(spec: CompressorSpec, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ContractViolation("compressor input must be finite")
     check_width(spec, x.shape[-1])
     return x

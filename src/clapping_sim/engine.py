@@ -8,6 +8,9 @@ neighbor. The backward pass at a worker uses the weights that produced
 the forward pass, matching a synchronous pipeline where the gradient
 message is formed from the same iterate it was computed against.
 
+The engine holds the current batch's input rows between steps and
+fetches only the rows a step refreshes, from the dataset or the stream.
+
 Each boundary and direction is one ``Link``. Where its mode reads a
 cache, the link holds one array for both endpoints' identical copies.
 A non-finite message, or a finite one its compressor cannot encode,
@@ -110,13 +113,16 @@ class AlgoConfig:
 
 class WorkerPlan(NamedTuple):
     """One worker compiled at engine init: its stages, each stage's
-    parameters as a view into the worker's flat weight vector, and a
-    flat gradient buffer with one view per stage."""
+    parameters as a view into the worker's flat weight vector, a flat
+    gradient buffer with one view per stage, and how many stages the
+    forward pass runs: all, except the last worker's final stage, whose
+    output the backward pass never reads (it seeds the adjoint with 1)."""
 
     stages: tuple[st.StageSpec, ...]
     params: list[np.ndarray]
     grad: np.ndarray
     stage_grads: list[np.ndarray]
+    forward_stages: int
 
 
 class Link(NamedTuple):
@@ -214,7 +220,11 @@ class PipelineEngine:
             stages = chain.worker_stages(e)
             grad = np.zeros_like(w)
             self.plans.append(WorkerPlan(stages, chain.split_params(stages, w), grad,
-                                         chain.split_params(stages, grad)))
+                                         chain.split_params(stages, grad),
+                                         len(stages) - (e == self.E)))
+        self._loss_adjoint = np.ones((self.B, 1))  # d loss / d final output, read-only
+        self._loss_adjoint.flags.writeable = False
+        self._batch: np.ndarray | None = None  # the current batch's input rows
 
         self.ledger = wire.TransferLedger(bandwidth_bps=bandwidth_bps, latency_s=latency_s)
         self.t = 0
@@ -232,7 +242,18 @@ class PipelineEngine:
         """Rows of each cache in one direction, for the boundaries that keep one."""
         return [link.cache.shape[0] for link in self.links[direction] if link.cache is not None]
 
-    def _rows(self, indices: np.ndarray) -> np.ndarray:
+    def _batch_rows(self, indices: np.ndarray, refreshed: np.ndarray, fresh: bool) -> np.ndarray:
+        """The step's input rows. The batch is held between steps, so a
+        reused row is not read again: only refreshed rows are gathered
+        from the dataset, or drawn from the stream."""
+        if fresh and refreshed.all():
+            self._batch = self._fetch(indices)
+        elif fresh:
+            self._batch = self._batch.copy()  # the last step's rows stay as they were
+            self._batch[refreshed] = self._fetch(indices[refreshed])
+        return self._batch
+
+    def _fetch(self, indices: np.ndarray) -> np.ndarray:
         if isinstance(self.inputs, StreamingInputs):
             return np.asarray(self.inputs.draw(self._rng_stream_data, len(indices)), dtype=np.float64)
         return self.inputs[indices]
@@ -240,10 +261,13 @@ class PipelineEngine:
     # -- worker-local math ---------------------------------------------
 
     def _worker_forward(self, e: int, y_in: np.ndarray) -> list[np.ndarray]:
-        """Forward through worker e's stages; returns [input, each stage
-        output]. Each stage's input is the tape the backward pass reads."""
+        """Forward through worker e's forward stages; returns [input, each
+        stage output]. Each stage's input is the tape the backward pass
+        reads; on the last worker, whose final stage is not run, that is
+        the whole list."""
         plan = self.plans[e - 1]
-        return st.run_stages(plan.stages, y_in, plan.params)
+        n = plan.forward_stages
+        return st.run_stages(plan.stages[:n], y_in, plan.params[:n])
 
     def _worker_backward(self, e: int, tape: list[np.ndarray], v_out: np.ndarray):
         """Backward through worker e, consuming its tape; returns (weight
@@ -318,12 +342,11 @@ class PipelineEngine:
         indices, refreshed, f_fu = lazy_sample(self.sampler, self._rng_sample)
 
         tapes = []
-        y = self._rows(indices)
+        y = self._batch_rows(indices, refreshed, f_fu)
         for e in range(1, self.E + 1):
             tapes.append(self._worker_forward(e, y))
-            y = tapes[-1].pop()  # the output; what remains is the backward tape
-            if e < self.E:
-                y = self.forward_exchange(e - 1, y, refreshed, indices)
+            if e < self.E:  # pop the output; what remains is the backward tape
+                y = self.forward_exchange(e - 1, tapes[-1].pop(), refreshed, indices)
 
         gamma = self.config.optimizer.gamma.value_at(t)
         m_t = self.config.optimizer.momentum.value_at(t)
@@ -331,7 +354,7 @@ class PipelineEngine:
             for u in self.momentum:
                 u[:] = 0.0
 
-        v = np.ones((self.B, 1))
+        v = self._loss_adjoint
         for e in range(self.E, 0, -1):
             u_e, v_in = self._worker_backward(e, tapes.pop(), v)
             self._update_worker(e, u_e, gamma, m_t)

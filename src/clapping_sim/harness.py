@@ -215,18 +215,23 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     fwd = [read(f"compressor.forward.{i}", parse_compressor, fwd_all) for i in range(n_bound)]
     bwd = [read(f"compressor.backward.{i}", parse_compressor, bwd_all) for i in range(n_bound)]
 
+    steps = read("algo.total_steps", _int, 1000, minimum=0)
+    resets = read("optimizer.reset_steps", _int_set, frozenset(), minimum=1)
+    if late := sorted(r for r in resets if r > steps):  # would never fire
+        raise ConfigurationError(f"optimizer.reset_steps: must be <= algo.total_steps ({steps}), "
+                                 f"got {', '.join(map(str, late))}")
     algo = AlgoConfig(
         variant=read("algo.variant", allowed=VARIANTS),
         optimizer=optimizer,
         forward_compressors=tuple(fwd),
         backward_compressors=tuple(bwd),
         batch_size=batch,
-        total_steps=read("algo.total_steps", _int, 1000, minimum=0),
+        total_steps=steps,
         seed=read("algo.seed", _int, 0, minimum=0),
         sampler_rule=read("algo.sampler_rule", default=SINGLE if batch == 1 else BATCH_BATCHWISE,
                           allowed=RULES),
         p_schedule=read("sampling.p", parse_schedule, Schedule.constant(1.0)),
-        momentum_reset_steps=read("optimizer.reset_steps", _int_set, frozenset(), minimum=1),
+        momentum_reset_steps=resets,
         force_fresh_at_step_2=read("algo.force_fresh_step2", _bool, False),
     )
     logistic = {} if mlp else dict(

@@ -43,7 +43,9 @@ LOSS_HEADS = (LOGISTIC_LOSS, REG_LOGISTIC_LOSS)
 @dataclass(frozen=True)
 class StageSpec:
     """One operator in the chain. ``extra`` holds kind-specific constants
-    (``c_r`` for the regularized head, ``append_sq_norm`` for linear)."""
+    (``c_r`` for the regularized head, ``append_sq_norm`` for linear).
+    Built specs also carry ``append_sq_norm``, ``c_r``, ``matrix_rows``
+    (weight-matrix rows of a parametric kind) and ``param_dim``."""
 
     kind: str
     input_dim: int
@@ -68,24 +70,24 @@ class StageSpec:
                 )
             if "c_r" not in self.extra:
                 raise ConfigurationError("regularized_logistic_loss needs extra['c_r']")
+        # what each call reads, fixed once (the spec is frozen)
+        sq_norm = self.kind == LINEAR and bool(self.extra.get("append_sq_norm", False))
+        rows = self.output_dim - 1 if sq_norm else self.output_dim
+        param_dim = {LINEAR: rows * self.input_dim,
+                     AFFINE_BIAS: (self.input_dim + 1) * self.output_dim}.get(self.kind, 0)
+        c_r = float(self.extra["c_r"]) if self.kind == REG_LOGISTIC_LOSS else None
+        object.__setattr__(self, "append_sq_norm", sq_norm)
+        object.__setattr__(self, "matrix_rows", rows)
+        object.__setattr__(self, "param_dim", param_dim)
+        object.__setattr__(self, "c_r", c_r)
 
-    @property
-    def matrix_rows(self) -> int:
-        """Rows of the weight matrix for parametric kinds."""
-        if self.kind == LINEAR and self.extra.get("append_sq_norm", False):
-            return self.output_dim - 1
-        return self.output_dim
 
-    @property
-    def param_dim(self) -> int:
-        if self.kind == LINEAR:
-            return self.matrix_rows * self.input_dim
-        if self.kind == AFFINE_BIAS:
-            return self.output_dim * self.input_dim + self.output_dim
-        return 0
+_F64 = np.dtype(np.float64)
 
 
 def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
+    if type(x) is np.ndarray and x.dtype is _F64 and x.ndim in (1, 2) and x.shape[-1] == dim:
+        return x  # already what the conversion below would return
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ContractViolation(f"{name}: expected trailing dim {dim}, got shape {x.shape}")
@@ -95,6 +97,8 @@ def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
 def _check_params(x: np.ndarray, dim: int) -> np.ndarray:
     if dim == 0:
         return np.zeros(0)
+    if type(x) is np.ndarray and x.dtype is _F64 and x.shape == (dim,):
+        return x
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != dim:
         raise ContractViolation(f"w: expected {dim} parameters, got shape {x.shape}")
@@ -102,12 +106,10 @@ def _check_params(x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below, so no exp
+    overflows. minimum(z, -z) is -|z| that keeps a NaN's sign bit."""
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(z: np.ndarray) -> np.ndarray:
@@ -121,7 +123,7 @@ def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarr
     if stage.kind == LINEAR:
         mat = w.reshape(stage.matrix_rows, stage.input_dim)
         out = y @ mat.T
-        if stage.extra.get("append_sq_norm", False):
+        if stage.append_sq_norm:
             sq = np.full(out.shape[:-1] + (1,), float(w @ w))
             out = np.concatenate([out, sq], axis=-1)
         return out
@@ -136,8 +138,7 @@ def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarr
     if stage.kind == LOGISTIC_LOSS:
         return _softplus(y[..., :1])
     # regularized_logistic_loss
-    c_r = float(stage.extra["c_r"])
-    return _softplus(y[..., :1]) + c_r * y[..., 1:2]
+    return _softplus(y[..., :1]) + stage.c_r * y[..., 1:2]
 
 
 def stage_backward_input(
@@ -159,9 +160,8 @@ def stage_backward_input(
         return v * (y > 0.0)
     if stage.kind == LOGISTIC_LOSS:
         return _sigmoid(y[..., :1]) * v
-    c_r = float(stage.extra["c_r"])
     grad_z = _sigmoid(y[..., :1]) * v
-    grad_s = np.full_like(grad_z, c_r) * v
+    grad_s = np.full_like(grad_z, stage.c_r) * v
     return np.concatenate([grad_z, grad_s], axis=-1)
 
 
@@ -187,7 +187,7 @@ def stage_backward_weight(
     if stage.kind == LINEAR:
         rows = stage.matrix_rows
         _outer_sum(v[..., :rows], y, batched, out.reshape(rows, stage.input_dim))
-        if stage.extra.get("append_sq_norm", False):
+        if stage.append_sq_norm:
             v_sq = v[..., rows].sum() if batched else v[..., rows]
             out += 2.0 * float(v_sq) * w
         return out

@@ -135,6 +135,10 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
      "optimizer.reset_steps: must be >= 1, got -4, 0"),
     ("algo.variant = no_comp\noptimizer.reset_steps = 5,0", [],
      "optimizer.reset_steps: must be >= 1, got 0"),
+    ("algo.variant = no_comp\noptimizer.reset_steps = 5000", [],
+     "optimizer.reset_steps: must be <= algo.total_steps (3), got 5000"),
+    ("algo.variant = no_comp\noptimizer.reset_steps = 9,2,4", [],
+     "optimizer.reset_steps: must be <= algo.total_steps (3), got 4, 9"),
 ])
 def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, names):
     bad = tmp_path / "bad.cfg"

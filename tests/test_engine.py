@@ -61,6 +61,31 @@ def freeze(eng):
     return eng
 
 
+class CountingStream:
+    """A 5-wide input stream that records the size of every draw."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def draw(self, rng, k):
+        self.sizes.append(k)
+        return rng.standard_normal((k, 5))
+
+
+def refreshed_counts(monkeypatch):
+    """Record each step's refreshed-row count as lazy_sample returns it."""
+    counts = []
+    real = engine_module.lazy_sample
+
+    def counting(*args):
+        out = real(*args)
+        counts.append(int(out[1].sum()))
+        return out
+
+    monkeypatch.setattr(engine_module, "lazy_sample", counting)
+    return counts
+
+
 @pytest.fixture
 def logistic_setup():
     chain = st.logistic_chain(6, 0.005)
@@ -275,15 +300,7 @@ class TestBatchMode:
                         fwd=(comp.topk_spec(k),), bwd=(comp.topk_spec(k),),
                         steps=20, seed=12),
             X, init_weights=init)
-        refreshed = []
-        real = engine_module.lazy_sample
-
-        def counting(*args):
-            out = real(*args)
-            refreshed.append(int(out[1].sum()))
-            return out
-
-        monkeypatch.setattr(engine_module, "lazy_sample", counting)
+        refreshed = refreshed_counts(monkeypatch)
         eng.run_iteration()  # fresh everywhere
         for _ in range(19):
             before = eng.ledger.total_bytes(FORWARD)
@@ -362,6 +379,56 @@ class TestAqsgd:
         eng = PipelineEngine(chain, make_config(CLAPPING_FU, chain, p=0.5, steps=15), stream)
         eng.run(15)
         assert eng.t == 15 and np.isfinite(eng.flat_weights()).all()
+
+
+class TestHeldBatch:
+    """The engine holds the batch's rows between steps and fetches only
+    the rows a step refreshes."""
+
+    def test_reused_stream_batch_draws_once(self):
+        chain = st.logistic_chain(4, 0.01)
+        stream = CountingStream()
+        eng = PipelineEngine(chain, make_config(CLAPPING_FC, chain, p=0.0, batch=4, steps=10),
+                             StreamingInputs(dim=5, draw=stream.draw))
+        eng.run(10)
+        assert stream.sizes == [4]
+
+    def test_samplewise_stream_draws_each_steps_refreshed_rows(self, monkeypatch):
+        chain = st.logistic_chain(4, 0.01)
+        stream = CountingStream()
+        counts = refreshed_counts(monkeypatch)
+        eng = PipelineEngine(chain, make_config(CLAPPING_FC, chain, p=0.5, batch=8, steps=20,
+                                                rule=BATCH_SAMPLEWISE),
+                             StreamingInputs(dim=5, draw=stream.draw))
+        eng.run(20)
+        assert counts[0] == 8 and any(0 < c < 8 for c in counts)
+        assert stream.sizes == [c for c in counts if c]
+
+    @pytest.mark.parametrize("variant, rule", [(CLAPPING_FU, BATCH_SAMPLEWISE),
+                                               (CLAPPING_FC, BATCH_BATCHWISE),
+                                               (NO_COMP, BATCH_SAMPLEWISE)])
+    def test_held_rows_are_the_sampled_dataset_rows(self, monkeypatch, variant, rule):
+        chain = st.logistic_chain(4, 0.01)
+        X = named_stream(15, "held").standard_normal((12, 5))
+        eng = PipelineEngine(chain, make_config(variant, chain, p=0.4, batch=4, steps=25,
+                                                rule=rule), X)
+        counts = refreshed_counts(monkeypatch)
+        first_stage_inputs = []
+        real = st.stage_forward
+
+        def recording(stage, y, w):
+            if stage is chain.stages[0]:
+                first_stage_inputs.append(y.copy())
+            return real(stage, y, w)
+
+        monkeypatch.setattr(st, "stage_forward", recording)
+        for _ in range(25):
+            eng.run_iteration()
+            npt.assert_array_equal(first_stage_inputs[-1], X[eng.sampler.current])
+        assert len(first_stage_inputs) == 25
+        # the lazy variants reuse whole batches, and sample-wise ones refresh part of one
+        assert (0 in counts[1:]) == (variant != NO_COMP)
+        assert any(0 < c < 4 for c in counts) == (variant == CLAPPING_FU)
 
 
 class TestDivergence:

@@ -66,3 +66,30 @@ def test_tracer_sees_every_exchange_and_every_ledger_byte(three_worker_engine):
     assert tracer.counters[OP]["wire.ledger_payload_bytes"] == eng.ledger.total_bytes() > 0
     assert [owner.__dict__[attr] for owner, attr in HOOKS] == originals
     assert all(not hasattr(owner.__dict__[attr], "__wrapped__") for owner, attr in HOOKS)
+
+
+def test_engine_calls_the_public_stage_and_compressor_functions(three_worker_engine):
+    """The traced call shape of the step: the engine reaches the stages
+    and compressors through their public, wrapped functions, so a change
+    that goes round them shows here rather than as a blind per-layer
+    trace."""
+    eng = three_worker_engine
+    tracer, patches = Tracer(), Patches()
+    instrument(tracer, patches)
+    try:
+        tracer.begin_root(OP, CLAPPING_FC)
+        eng.run(3)
+        tracer.end_root()
+    finally:
+        patches.undo()
+
+    spans = [tracer.names[n] for n in tracer.name_id]
+    # 8 stages; the final (loss) stage's output is never read, so it is not run
+    assert len(eng.chain.stages) == 8
+    assert spans.count("stages.forward") == 3 * 7
+    exchanges = [i for i, name in enumerate(spans) if name.endswith("_exchange")]
+    assert len(exchanges) == 3 * 2 * 2
+    for i in exchanges:  # clapping_fc: every exchange is ef, one compress_batch each
+        children = [spans[j] for j, parent in enumerate(tracer.parent) if parent == i]
+        assert children.count("compressors.compress_batch") == 1, children
+    assert spans.count("compressors.compress_batch") == len(exchanges)

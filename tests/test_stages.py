@@ -3,6 +3,9 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from hypothesis.extra import numpy as hnp
 
 from clapping_sim import stages as st
 from clapping_sim.errors import ConfigurationError, ContractViolation
@@ -76,6 +79,100 @@ class TestStageForward:
             # batched and single-row paths may differ by BLAS accumulation order
             npt.assert_allclose(batched[i], st.stage_forward(spec, Y[i], w),
                                 rtol=1e-14, atol=1e-15)
+
+
+def masked_sigmoid(z):
+    """The two-branch form: 1 / (1 + e^-z) on z >= 0, e^z / (1 + e^z) elsewhere."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+               2.2250738585072014e-308, -1e-310, 700.0, -700.0, 745.0, -745.0, 745.2,
+               -745.2, 750.0, -750.0, 709.8, -709.8]
+sigmoid_inputs = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=1, max_dims=2, max_side=9),
+    elements=hs.one_of(hs.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                       hs.floats(700.0, 750.0), hs.floats(-750.0, -700.0),
+                       hs.sampled_from(EDGE_VALUES)))
+
+
+class TestSigmoid:
+    @given(sigmoid_inputs)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_masked_form_bit_for_bit(self, z):
+        with np.errstate(all="ignore"):
+            got, want = st._sigmoid(z), masked_sigmoid(z)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_edge_values(self):
+        z = np.array(EDGE_VALUES)
+        with np.errstate(all="ignore"):
+            got, want = st._sigmoid(z), masked_sigmoid(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got[:4], [0.5, 0.5, 1.0, 0.0])
+
+
+LINEAR_3_2 = st.StageSpec(st.LINEAR, 3, 2)
+
+
+class TestChecks:
+    """The fast pass in the stage checks returns only a float64 ndarray
+    of the right shape; everything else goes the old way."""
+
+    @pytest.mark.parametrize("y", [
+        np.zeros(3, dtype=np.int64), [0.0, 1.0, 2.0], np.zeros(4, dtype=np.int64), [0.0] * 4,
+        np.zeros((2, 2, 3)), np.zeros(4), np.zeros((2, 4)), np.zeros(()),
+    ], ids=["int", "list", "int-wrong-dim", "list-wrong-dim", "3-d", "wrong-dim",
+            "wrong-trailing-dim", "0-d"])
+    def test_check_vec(self, y):
+        x = np.asarray(y)
+        if x.ndim in (1, 2) and x.shape[-1] == 3:  # converted, not refused
+            out = st._check_vec("y_in", y, 3)
+            assert out.dtype == np.float64 and np.array_equal(out, x)
+        else:
+            with pytest.raises(ContractViolation, match="y_in: expected trailing dim 3"):
+                st._check_vec("y_in", y, 3)
+            with pytest.raises(ContractViolation):
+                st.stage_forward(LINEAR_3_2, y, np.zeros(6))
+
+    @pytest.mark.parametrize("w", [
+        np.zeros(6, dtype=np.int64), [0.0] * 6, np.zeros(5, dtype=np.int64), [0.0] * 5,
+        np.zeros((1, 1, 6)), np.zeros(5), np.zeros((2, 3)), np.zeros(7),
+    ], ids=["int", "list", "int-short", "list-short", "3-d", "short", "2-d", "long"])
+    def test_check_params(self, w):
+        x = np.asarray(w)
+        if x.shape == (6,):  # converted, not refused
+            out = st._check_params(w, 6)
+            assert out.dtype == np.float64 and np.array_equal(out, x)
+        else:
+            with pytest.raises(ContractViolation, match="w: expected 6 parameters"):
+                st._check_params(w, 6)
+            for call in (st.stage_forward, st.stage_backward_input, st.stage_backward_weight):
+                args = (np.zeros(3), w) + ((np.ones(2),) if call is not st.stage_forward else ())
+                with pytest.raises(ContractViolation):
+                    call(LINEAR_3_2, *args)
+
+    def test_fast_pass_returns_the_array_itself(self):
+        y, w = np.zeros((4, 3)), np.zeros(6)
+        assert st._check_vec("y_in", y, 3) is y
+        assert st._check_params(w, 6) is w
+        view = np.zeros((4, 5))[:, :3]  # a strided view passes as it is, as asarray would
+        assert st._check_vec("y_in", view, 3) is view
+
+    def test_geometry_is_fixed_at_build(self):
+        spec = st.StageSpec(st.LINEAR, 4, 3, {"append_sq_norm": True})
+        assert (spec.append_sq_norm, spec.matrix_rows, spec.param_dim, spec.c_r) == (
+            True, 2, 8, None)
+        head = st.StageSpec(st.REG_LOGISTIC_LOSS, 2, 1, {"c_r": 0.25})
+        assert (head.append_sq_norm, head.param_dim, head.c_r) == (False, 0, 0.25)
+        affine = st.StageSpec(st.AFFINE_BIAS, 4, 3)
+        assert (affine.matrix_rows, affine.param_dim) == (3, 15)
 
 
 class TestStageBackward:
