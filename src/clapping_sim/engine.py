@@ -11,10 +11,11 @@ message is formed from the same iterate it was computed against.
 The engine holds the current batch's input rows between steps and
 fetches only the rows a step refreshes, from the dataset or the stream.
 
-Each boundary and direction is one ``Link``. Where its mode reads a
-cache, the link holds one array for both endpoints' identical copies.
-A non-finite message, or a finite one its compressor cannot encode,
-raises ``DivergenceError`` naming the step, boundary and sender.
+Each boundary and direction is one ``Link``, bound at init to its
+mode's send function. Where its mode reads a cache, the link holds one
+array for both endpoints' identical copies. A non-finite message, or a
+finite one its compressor cannot encode, raises ``DivergenceError``
+naming the step, boundary and sender; each message is scanned once.
 
 The variants differ only in what each boundary sends in each direction.
 ``VARIANT_POLICY`` gives each one a mode per direction, whether it samples
@@ -28,7 +29,7 @@ same against one cache entry per dataset row instead of per batch row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -114,22 +115,24 @@ class AlgoConfig:
 class WorkerPlan(NamedTuple):
     """One worker compiled at engine init: its stages, each stage's
     parameters as a view into the worker's flat weight vector, a flat
-    gradient buffer with one view per stage, and how many stages the
-    forward pass runs: all, except the last worker's final stage, whose
+    gradient buffer with one view per stage, and the stages and params
+    the forward pass runs: all but the last worker's final stage, whose
     output the backward pass never reads (it seeds the adjoint with 1)."""
 
     stages: tuple[st.StageSpec, ...]
     params: list[np.ndarray]
     grad: np.ndarray
     stage_grads: list[np.ndarray]
-    forward_stages: int
+    forward_stages: tuple[st.StageSpec, ...]
+    forward_params: list[np.ndarray]
 
 
 class Link(NamedTuple):
-    """One boundary in one direction, compiled at engine init. The cache
-    is (B, d) for ``ef``, (n, d) for ``per_sample_ef``, else None."""
+    """One boundary in one direction, compiled at engine init. ``send``
+    is its mode's send function (``_SEND``); the cache is (B, d) for
+    ``ef``, (n, d) for ``per_sample_ef``, else None."""
 
-    mode: str
+    send: Callable
     spec: comp.CompressorSpec
     rng: np.random.Generator
     cache: np.ndarray | None
@@ -194,7 +197,9 @@ class PipelineEngine:
             stream = f"compressor/{('fwd', 'bwd')[direction]}/{i}"
             mode = self.policy[direction]  # VariantPolicy starts (forward, backward)
             rows = {MODE_EF: self.B, MODE_PER_SAMPLE_EF: n_samples}.get(mode)
-            return Link(mode, spec, named_stream(config.seed, stream),
+            send = (_send_ef_fresh_dense if mode == MODE_EF and self.policy.fresh_rows_dense
+                    else _SEND[mode])
+            return Link(send, spec, named_stream(config.seed, stream),
                         None if rows is None else np.zeros((rows, dim)))
 
         # indexed [wire.FORWARD or wire.BACKWARD][boundary]
@@ -218,10 +223,10 @@ class PipelineEngine:
         self.plans: list[WorkerPlan] = []
         for e, w in enumerate(self.weights, start=1):
             stages = chain.worker_stages(e)
-            grad = np.zeros_like(w)
-            self.plans.append(WorkerPlan(stages, chain.split_params(stages, w), grad,
-                                         chain.split_params(stages, grad),
-                                         len(stages) - (e == self.E)))
+            params, grad = chain.split_params(stages, w), np.zeros_like(w)
+            n = len(stages) - (e == self.E)
+            self.plans.append(WorkerPlan(stages, params, grad, chain.split_params(stages, grad),
+                                         stages[:n], params[:n]))
         self._loss_adjoint = np.ones((self.B, 1))  # d loss / d final output, read-only
         self._loss_adjoint.flags.writeable = False
         self._batch: np.ndarray | None = None  # the current batch's input rows
@@ -254,20 +259,18 @@ class PipelineEngine:
         return self._batch
 
     def _fetch(self, indices: np.ndarray) -> np.ndarray:
-        if isinstance(self.inputs, StreamingInputs):
-            return np.asarray(self.inputs.draw(self._rng_stream_data, len(indices)), dtype=np.float64)
-        return self.inputs[indices]
+        if not isinstance(self.inputs, StreamingInputs):
+            return self.inputs[indices]
+        want = (len(indices), self.inputs.dim)
+        rows = np.asarray(self.inputs.draw(self._rng_stream_data, want[0]), dtype=np.float64)
+        if rows.shape != want or not np.isfinite(rows).all():
+            got = f"shape {rows.shape}" if rows.shape != want else "non-finite rows"
+            name = getattr(self.inputs.draw, "__qualname__", "draw")
+            raise ContractViolation(f"step {self.t + 1}: input stream {name}: asked for "
+                                    f"{want[0]} rows of width {want[1]}, got {got}")
+        return rows
 
     # -- worker-local math ---------------------------------------------
-
-    def _worker_forward(self, e: int, y_in: np.ndarray) -> list[np.ndarray]:
-        """Forward through worker e's forward stages; returns [input, each
-        stage output]. Each stage's input is the tape the backward pass
-        reads; on the last worker, whose final stage is not run, that is
-        the whole list."""
-        plan = self.plans[e - 1]
-        n = plan.forward_stages
-        return st.run_stages(plan.stages[:n], y_in, plan.params[:n])
 
     def _worker_backward(self, e: int, tape: list[np.ndarray], v_out: np.ndarray):
         """Backward through worker e, consuming its tape; returns (weight
@@ -279,10 +282,12 @@ class PipelineEngine:
         v = v_out
         for idx in reversed(range(len(plan.stages))):
             stage, w, y = plan.stages[idx], plan.params[idx], tape.pop()
-            st.stage_backward_weight(stage, y, w, v, out=plan.stage_grads[idx])
+            if stage.param_dim:
+                st.stage_backward_weight(stage, y, w, v, out=plan.stage_grads[idx])
             if idx > 0 or e > 1:
                 v = st.stage_backward_input(stage, y, w, v)
-        np.divide(plan.grad, self.B, out=plan.grad)
+        if len(plan.grad):
+            np.divide(plan.grad, self.B, out=plan.grad)
         return plan.grad, (v if e > 1 else None)
 
     # -- exchanges -------------------------------------------------------
@@ -301,32 +306,14 @@ class PipelineEngine:
         """Send x across boundary i on its link; updates the link's cache
         and the ledger, returns the reconstruction the receiver uses."""
         link = self.links[direction][i]
-        if not np.isfinite(x).all():
-            raise DivergenceError(f"step {self.t + 1}: non-finite {_message_at(direction, i)}")
         try:
-            if link.mode == MODE_DENSE:
-                recon = x.copy()
-                nbytes = value_bytes = wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
-            elif link.mode == MODE_DIRECT:
-                recon, nbytes, value_bytes = comp.compress_batch(link.spec, x, link.rng)
-            else:
-                rows = sample_idx if link.mode == MODE_PER_SAMPLE_EF else slice(None)
-                cache = link.cache[rows]
-                if self.policy.fresh_rows_dense and fresh_rows.any():
-                    stale = ~fresh_rows
-                    recon = x.copy()
-                    nbytes = value_bytes = (wire.sizes(wire.FMT_DENSE, x.shape[1])[0]
-                                            * int(fresh_rows.sum()))
-                    if stale.any():
-                        recon[stale], nb, vb = _ef_update(link.spec, x[stale], cache[stale],
-                                                          link.rng)
-                        nbytes += nb
-                        value_bytes += vb
-                else:
-                    recon, nbytes, value_bytes = _ef_update(link.spec, x, cache, link.rng)
-                link.cache[rows] = recon
-        except ContractViolation as exc:  # finite, but its compressor cannot encode it
-            where = _message_at(direction, i)
+            recon, nbytes, value_bytes = link.send(link, x, fresh_rows, sample_idx)
+        except ContractViolation as exc:
+            where = (f"{_DIRECTIONS[direction]} message at boundary {i}, "
+                     f"sent by worker {i + 1 + direction}")
+            if not np.isfinite(x).all():  # rescanned on this failure path only
+                raise DivergenceError(f"step {self.t + 1}: non-finite {where}") from None
+            # finite, but its compressor cannot encode it
             raise DivergenceError(f"step {self.t + 1}: {where}: {exc}") from exc
 
         self.ledger.record(i, direction, nbytes, value_bytes)
@@ -341,10 +328,10 @@ class PipelineEngine:
         t = self.t + 1
         indices, refreshed, f_fu = lazy_sample(self.sampler, self._rng_sample)
 
-        tapes = []
+        tapes = []  # per worker: [input, each forward stage's output]
         y = self._batch_rows(indices, refreshed, f_fu)
-        for e in range(1, self.E + 1):
-            tapes.append(self._worker_forward(e, y))
+        for e, plan in enumerate(self.plans, start=1):
+            tapes.append(st.run_stages(plan.forward_stages, y, plan.forward_params))
             if e < self.E:  # pop the output; what remains is the backward tape
                 y = self.forward_exchange(e - 1, tapes[-1].pop(), refreshed, indices)
 
@@ -357,7 +344,8 @@ class PipelineEngine:
         v = self._loss_adjoint
         for e in range(self.E, 0, -1):
             u_e, v_in = self._worker_backward(e, tapes.pop(), v)
-            self._update_worker(e, u_e, gamma, m_t)
+            if len(u_e):  # a worker without parameters has nothing to update
+                self._update_worker(e, u_e, gamma, m_t)
             if e > 1:
                 v = self.backward_exchange(e - 2, v_in, refreshed)
 
@@ -365,10 +353,7 @@ class PipelineEngine:
         return f_fu
 
     def _update_worker(self, e: int, grad: np.ndarray, gamma: float, m_t: float) -> None:
-        opt = self.config.optimizer
-        i = e - 1
-        if len(grad) == 0:
-            return
+        opt, i = self.config.optimizer, e - 1
         # in place: the plan's parameter views stay valid
         if opt.kind == MOMENTUM_SGD:
             momentum_update(self.momentum[i], self.weights[i], grad, m_t, gamma)
@@ -381,12 +366,49 @@ class PipelineEngine:
             self.run_iteration()
 
 
-def _message_at(direction: int, i: int) -> str:
-    """Names a message and its sender: worker i + 1 forward, i + 2 backward."""
-    return f"{_DIRECTIONS[direction]} message at boundary {i}, sent by worker {i + 1 + direction}"
+# Send functions, one per mode: (link, x, fresh_rows, sample_idx) ->
+# (reconstruction, payload bytes, value bytes). A non-finite x raises
+# ContractViolation, from compress_batch's input check or, for rows no
+# compressor sees, from _dense_bytes.
+
+def _dense_bytes(x: np.ndarray) -> int:
+    """Bytes of x's rows sent dense, after the scan no compressor makes for them."""
+    if not np.isfinite(x).all():
+        raise ContractViolation("non-finite message")
+    return wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
 
 
-def _ef_update(spec: comp.CompressorSpec, x: np.ndarray, cache: np.ndarray, rng):
-    """Error-feedback step: (cache + C(x - cache), payload bytes, value bytes)."""
-    delta, nbytes, value_bytes = comp.compress_batch(spec, x - cache, rng)
-    return cache + delta, nbytes, value_bytes
+def _send_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):
+    nbytes = _dense_bytes(x)
+    return x.copy(), nbytes, nbytes
+
+
+def _send_ef(link: Link, x: np.ndarray, fresh_rows, sample_idx, rows=slice(None)):
+    """Error feedback on the cache's ``rows``: both endpoints set
+    cache <- cache + C(x - cache), which is what the receiver uses."""
+    cache = link.cache[rows]
+    delta, nbytes, value_bytes = comp.compress_batch(link.spec, x - cache, link.rng)
+    link.cache[rows] = recon = cache + delta
+    return recon, nbytes, value_bytes
+
+
+def _send_ef_fresh_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):
+    """``ef``, except that the rows drawn fresh this step travel dense."""
+    if not fresh_rows.any():
+        return _send_ef(link, x, fresh_rows, sample_idx)
+    nbytes = value_bytes = _dense_bytes(x[fresh_rows])
+    recon = x.copy()
+    stale = ~fresh_rows
+    if stale.any():
+        recon[stale], nb, vb = _send_ef(link, x[stale], None, None, rows=stale)
+        nbytes, value_bytes = nbytes + nb, value_bytes + vb
+    link.cache[:] = recon
+    return recon, nbytes, value_bytes
+
+
+_SEND = {
+    MODE_DENSE: _send_dense,
+    MODE_DIRECT: lambda link, x, *_: comp.compress_batch(link.spec, x, link.rng),
+    MODE_EF: _send_ef,
+    MODE_PER_SAMPLE_EF: lambda link, x, fresh_rows, idx: _send_ef(link, x, fresh_rows, idx, idx),
+}

@@ -122,10 +122,11 @@ def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarr
     w = _check_params(w, stage.param_dim)
     if stage.kind == LINEAR:
         mat = w.reshape(stage.matrix_rows, stage.input_dim)
-        out = y @ mat.T
-        if stage.append_sq_norm:
-            sq = np.full(out.shape[:-1] + (1,), float(w @ w))
-            out = np.concatenate([out, sq], axis=-1)
+        if not stage.append_sq_norm:
+            return y @ mat.T
+        out = np.empty(y.shape[:-1] + (stage.output_dim,))  # the rows, then ||w||^2
+        np.matmul(y, mat.T, out=out[..., :-1])
+        out[..., -1] = w @ w
         return out
     if stage.kind == AFFINE_BIAS:
         mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
@@ -161,8 +162,10 @@ def stage_backward_input(
     if stage.kind == LOGISTIC_LOSS:
         return _sigmoid(y[..., :1]) * v
     grad_z = _sigmoid(y[..., :1]) * v
-    grad_s = np.full_like(grad_z, stage.c_r) * v
-    return np.concatenate([grad_z, grad_s], axis=-1)
+    out = np.empty(grad_z.shape[:-1] + (2,))  # regularized head: (grad_z, c_r v)
+    out[..., :1] = grad_z
+    np.multiply(v, stage.c_r, out=out[..., 1:])
+    return out
 
 
 def stage_backward_weight(

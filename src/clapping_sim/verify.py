@@ -81,23 +81,14 @@ def _random_stage(kind: str, rng: np.random.Generator) -> tuple[st.StageSpec, np
     return spec, y, w
 
 
-def _fd_stage_input(spec, y, w, v, h):
-    g = np.zeros_like(y)
-    for i in range(len(y)):
-        up, dn = y.copy(), y.copy()
+def _central_diff(fn, x: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of v . fn(x) in each coordinate of x."""
+    g = np.zeros_like(x)
+    for i in range(len(x)):
+        up, dn = x.copy(), x.copy()
         up[i] += h
         dn[i] -= h
-        g[i] = (st.stage_forward(spec, up, w) - st.stage_forward(spec, dn, w)) @ v / (2 * h)
-    return g
-
-
-def _fd_stage_weight(spec, y, w, v, h):
-    g = np.zeros_like(w)
-    for i in range(len(w)):
-        up, dn = w.copy(), w.copy()
-        up[i] += h
-        dn[i] -= h
-        g[i] = (st.stage_forward(spec, y, up) - st.stage_forward(spec, y, dn)) @ v / (2 * h)
+        g[i] = (fn(up) - fn(dn)) @ v / (2 * h)
     return g
 
 
@@ -125,10 +116,11 @@ def check_chain_gradients(
             spec, y, w = _random_stage(kind, rng)
             v = rng.standard_normal(spec.output_dim)
             bp_in = st.stage_backward_input(spec, y, w, v)
-            err = _rel_err(bp_in, _fd_stage_input(spec, y, w, v, h))
+            err = _rel_err(bp_in, _central_diff(lambda y_: st.stage_forward(spec, y_, w), y, v, h))
             if spec.param_dim:
                 bp_w = st.stage_backward_weight(spec, y, w, v)
-                err = max(err, _rel_err(bp_w, _fd_stage_weight(spec, y, w, v, h)))
+                fd_w = _central_diff(lambda w_: st.stage_forward(spec, y, w_), w, v, h)
+                err = max(err, _rel_err(bp_w, fd_w))
             cases += 1
             if err > worst:
                 worst = err
@@ -139,6 +131,7 @@ def check_chain_gradients(
         st.tanh_mlp_chain((3, 5, 5, 2), boundaries=(2, 4)),
         st.logistic_chain(6, 0.005),
     ]
+    one = np.ones(1)  # the loss is a scalar
     for ch in chains:
         for _ in range(chain_trials):
             w_all = [0.6 * rng.standard_normal(s.param_dim) for s in ch.stages]
@@ -148,13 +141,8 @@ def check_chain_gradients(
             for si, w in enumerate(w_all):
                 if not len(w):
                     continue
-                fd = np.zeros_like(w)
-                for i in range(len(w)):
-                    up = [p.copy() for p in w_all]
-                    dn = [p.copy() for p in w_all]
-                    up[si][i] += h
-                    dn[si][i] -= h
-                    fd[i] = (st.chain_loss(ch, x, up) - st.chain_loss(ch, x, dn)) / (2 * h)
+                fd = _central_diff(lambda w_: np.array([st.chain_loss(
+                    ch, x, w_all[:si] + [w_] + w_all[si + 1:])]), w, one, h)
                 err = _rel_err(u_all[si], fd)
                 cases += 1
                 if err > worst:
@@ -168,17 +156,9 @@ def check_chain_gradients(
             for sj in reversed(range(1, len(ch.stages))):
                 v_all.insert(0, st.stage_backward_input(ch.stages[sj], ys[sj], w_all[sj], v_all[0]))
             for si in range(len(ch.stages) - 1):
-                y_e = ys[si + 1]
-                fd = np.zeros_like(y_e)
-                for i in range(len(y_e)):
-                    up, dn = y_e.copy(), y_e.copy()
-                    up[i] += h
-                    dn[i] -= h
-                    lu, ld = up, dn
-                    for sj in range(si + 1, len(ch.stages)):
-                        lu = st.stage_forward(ch.stages[sj], lu, w_all[sj])
-                        ld = st.stage_forward(ch.stages[sj], ld, w_all[sj])
-                    fd[i] = float(lu[0] - ld[0]) / (2 * h)
+                rest = ch.stages[si + 1:]
+                fd = _central_diff(lambda y_: st.run_stages(rest, y_, w_all[si + 1:])[-1],
+                                   ys[si + 1], one, h)
                 err = _rel_err(v_all[si], fd)
                 cases += 1
                 if err > worst:
@@ -226,15 +206,10 @@ def _identity_engines(chain, inputs, init, steps, seed, control_spec=None):
                           momentum=Schedule.constant(0.2))
     # the fresh-every-step variants share the no-compression sample
     # sequence; the lazy pair shares its own and is compared pairwise
-    runs = {
-        NO_COMP: (NO_COMP, ident, Schedule.constant(1.0)),
-        CLAPPING_FC: (CLAPPING_FC, ident, Schedule.constant(1.0)),
-        CLAPPING_FU: (CLAPPING_FU, ident, Schedule.constant(1.0)),
-        DIRECT: (DIRECT, ident, Schedule.constant(1.0)),
-        FORWARD_EF: (FORWARD_EF, ident, Schedule.constant(1.0)),
-        "clapping_fc-lazy": (CLAPPING_FC, ident, Schedule.constant(0.5)),
-        "clapping_fu-lazy": (CLAPPING_FU, ident, Schedule.constant(0.5)),
-    }
+    runs = {v: (v, ident, Schedule.constant(1.0))
+            for v in (NO_COMP, CLAPPING_FC, CLAPPING_FU, DIRECT, FORWARD_EF)}
+    runs.update({f"{v}-lazy": (v, ident, Schedule.constant(0.5))
+                 for v in (CLAPPING_FC, CLAPPING_FU)})
     if control_spec is not None:
         runs["negative-control"] = (
             DIRECT, tuple(control_spec for _ in range(n_bound)), Schedule.constant(1.0),
@@ -274,8 +249,7 @@ def check_identity_equivalence(
     vs_ref = [CLAPPING_FC, CLAPPING_FU, DIRECT, FORWARD_EF]
     if with_negative_control:
         vs_ref.append("negative-control")
-    deviations = {name: 0.0 for name in vs_ref}
-    deviations["lazy-pair"] = 0.0
+    deviations = dict.fromkeys(vs_ref + ["lazy-pair"], 0.0)
     for _ in range(steps):
         for engine in engines.values():
             engine.run_iteration()

@@ -268,14 +268,14 @@ class TransferLedger:
     Each boundary is a half-duplex serial link with zero latency by
     default; a fixed per-message latency is configurable. Compute time is
     not modeled. Simulated seconds are total bytes * 8 / bandwidth plus
-    latency per message.
+    latency per message. ``per_link`` maps (boundary, direction) to the
+    integer counters [payload bytes, value bytes, messages]; totals are
+    summed when read.
     """
 
     bandwidth_bps: float
     latency_s: float = 0.0
-    payload_bytes: dict = field(default_factory=dict)
-    value_bytes: dict = field(default_factory=dict)
-    messages: dict = field(default_factory=dict)
+    per_link: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.bandwidth_bps <= 0:
@@ -283,19 +283,17 @@ class TransferLedger:
 
     def record(self, boundary: int, direction: int, nbytes: int,
                value_nbytes: int | None = None) -> None:
-        key = (boundary, direction)
-        self.payload_bytes[key] = self.payload_bytes.get(key, 0) + int(nbytes)
-        self.value_bytes[key] = self.value_bytes.get(key, 0) + int(
-            nbytes if value_nbytes is None else value_nbytes
-        )
-        self.messages[key] = self.messages.get(key, 0) + 1
+        counts = self.per_link.setdefault((boundary, direction), [0, 0, 0])
+        counts[0] += int(nbytes)
+        counts[1] += int(nbytes if value_nbytes is None else value_nbytes)
+        counts[2] += 1
 
     def total_bytes(self, direction: int | None = None) -> int:
-        return sum(v for (b, d), v in self.payload_bytes.items()
+        return sum(c[0] for (_, d), c in self.per_link.items()
                    if direction is None or d == direction)
 
     def total_messages(self) -> int:
-        return sum(self.messages.values())
+        return sum(c[2] for c in self.per_link.values())
 
     @property
     def simulated_seconds(self) -> float:

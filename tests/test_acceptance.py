@@ -1,9 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
-line. Criterion 1 drives five full 200k-step benchmark runs and takes a
-few minutes; everything else is seconds."""
+line. Criterion 1 drives five full 200k-step benchmark runs and criterion
+10 three horizons of up to 160k steps, each on two worker processes;
+everything else is seconds."""
 
 import math
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,6 +24,15 @@ from clapping_sim.sampling import BATCH_BATCHWISE, BATCH_SAMPLEWISE, Schedule
 BENCH_VARIANTS = ("no_comp", "direct", "forward_ef", "clapping_fc", "clapping_fu")
 
 
+def run_experiments(jobs):
+    """Metric columns of each (config, csv path) run, in order. The runs are
+    independent and seeded, so two spawned processes run them side by side;
+    the CSVs are read here."""
+    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
+        paths = list(pool.map(H.run_experiment, *zip(*jobs)))
+    return [H.read_metrics(path) for path in paths]
+
+
 def report(num, ok, detail):
     line = f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
@@ -34,14 +46,10 @@ def test_criterion_1_benchmark_reproduction(tmp_path):
     direct compression and forward-only error feedback; the
     first-step-uncompressed run ends no higher than the always-compressed
     one; direct compression's gap stops decreasing."""
-    gaps = {}
-    direct_cols = None
-    for variant in BENCH_VARIANTS:
-        cfg = H.logistic_benchmark_config(variant, seed=0)
-        cols = H.read_metrics(H.run_experiment(cfg, tmp_path / f"{variant}.csv"))
-        gaps[variant] = float(cols["loss_gap"][-1])
-        if variant == "direct":
-            direct_cols = cols
+    runs = run_experiments([(H.logistic_benchmark_config(variant, seed=0),
+                             tmp_path / f"{variant}.csv") for variant in BENCH_VARIANTS])
+    gaps = {v: float(cols["loss_gap"][-1]) for v, cols in zip(BENCH_VARIANTS, runs)}
+    direct_cols = runs[BENCH_VARIANTS.index("direct")]
 
     floor = {v: max(g, 0.0) for v, g in gaps.items()}
     ok_a = all(
@@ -220,7 +228,7 @@ def test_criterion_10_advisory_rate_trend(tmp_path):
     desk-scale constants and noise make exponent certification
     unreliable."""
     horizons = (10_000, 40_000, 160_000)
-    averages = []
+    jobs = []
     for T in horizons:
         scale = math.sqrt(10_000 / T)
         raw = {
@@ -239,9 +247,10 @@ def test_criterion_10_advisory_rate_trend(tmp_path):
             "compressor.backward": "identity",
             "run.log_every": "50",
         }
-        cfg = H.config_from_mapping(raw)
-        cols = H.read_metrics(H.run_experiment(cfg, tmp_path / f"trend-{T}.csv"))
-        averages.append(float(np.mean(cols["grad_norm"] ** 2)))
+        jobs.append((H.config_from_mapping(raw), tmp_path / f"trend-{T}.csv"))
+    # the longest horizon first, so that the two shorter ones share the other process
+    runs = run_experiments(jobs[::-1])[::-1]
+    averages = [float(np.mean(cols["grad_norm"] ** 2)) for cols in runs]
 
     slope = np.polyfit(np.log(horizons), np.log(averages), 1)[0]
     ok = np.isfinite(slope)

@@ -12,7 +12,8 @@ from clapping_sim import stages as st
 from clapping_sim.engine import (AQ_SGD, CLAPPING_FC, CLAPPING_FU, DIRECT, FORWARD_EF,
                                  NO_COMP, VARIANT_POLICY, AlgoConfig, PipelineEngine,
                                  StreamingInputs)
-from clapping_sim.errors import ConfigurationError, DivergenceError, UnsupportedConfiguration
+from clapping_sim.errors import (ConfigurationError, ContractViolation, DivergenceError,
+                                 UnsupportedConfiguration)
 from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig
 from clapping_sim.rng import named_stream
 from clapping_sim.sampling import BATCH_BATCHWISE, BATCH_SAMPLEWISE, Schedule
@@ -431,6 +432,50 @@ class TestHeldBatch:
         assert any(0 < c < 4 for c in counts) == (variant == CLAPPING_FU)
 
 
+class TestStreamDraws:
+    """A stream's draw is checked where the engine fetches it, so a bad
+    one names the stream and the step instead of failing further on."""
+
+    @staticmethod
+    def engine(draw):
+        chain = st.logistic_chain(4, 0.01)
+        fwd = bwd = (comp.topk_spec(1),)
+        cfg = make_config(CLAPPING_FC, chain, p=0.5, batch=4, fwd=fwd, bwd=bwd, steps=5)
+        return PipelineEngine(chain, cfg, StreamingInputs(dim=5, draw=draw))
+
+    def test_short_draw(self):
+        def short(rng, k):
+            return rng.standard_normal((k - 1, 5))
+        eng = self.engine(short)
+        with pytest.raises(ContractViolation, match=r"step 1: input stream .*short: asked for 4 "
+                                                    r"rows of width 5, got shape \(3, 5\)"):
+            eng.run_iteration()
+
+    def test_wide_draw(self):
+        def wide(rng, k):
+            return rng.standard_normal((k, 6))
+        eng = self.engine(wide)
+        with pytest.raises(ContractViolation, match=r"step 1: input stream .*wide: .*"
+                                                    r"got shape \(4, 6\)"):
+            eng.run_iteration()
+
+    def test_nan_row(self):
+        draws = []
+
+        def late_nan(rng, k):
+            rows = rng.standard_normal((k, 5))
+            draws.append(k)
+            if len(draws) == 2:  # the second draw, on the first refreshed step after step 1
+                rows[-1, 2] = np.nan
+            return rows
+        eng = self.engine(late_nan)
+        with pytest.raises(ContractViolation, match="input stream .*late_nan: asked for 4 rows "
+                                                    "of width 5, got non-finite rows") as caught:
+            eng.run(5)
+        assert not isinstance(caught.value, DivergenceError)
+        assert caught.value.args[0].startswith(f"step {eng.t + 1}: ") and eng.t > 0
+
+
 class TestDivergence:
     @pytest.mark.parametrize("variant", list(VARIANT_POLICY))
     def test_blow_up_is_named_at_the_same_step(self, variant):
@@ -463,6 +508,41 @@ class TestDivergence:
         assert str(caught.value).startswith(
             "step 7: forward message at boundary 0, sent by worker 1: uniform_quant: |x| = ")
         assert eng.t == 6
+
+    def test_non_finite_fresh_row_sent_dense(self):
+        # clapping_fu sends the rows drawn fresh this step dense, past any
+        # compressor: the engine's own scan names them, and nothing is sent
+        chain = st.logistic_chain(4, 0.01)
+        X = named_stream(15, "fresh-nan").standard_normal((12, 5))
+        cfg = make_config(CLAPPING_FU, chain, p=0.5, batch=4, rule=BATCH_SAMPLEWISE,
+                          fwd=(comp.topk_spec(1),), bwd=(comp.topk_spec(1),))
+        eng = PipelineEngine(chain, cfg, X)
+        eng.run(3)
+        link = eng.links[FORWARD][0]
+        cache, state = link.cache.copy(), link.rng.bit_generator.state
+        x = np.ones((4, chain.boundary_dim(0)))
+        x[1, 0] = np.inf
+        fresh = np.array([False, True, False, True])
+        with pytest.raises(DivergenceError) as caught:
+            eng.forward_exchange(0, x, fresh, eng.sampler.current)
+        assert str(caught.value) == (
+            "step 4: non-finite forward message at boundary 0, sent by worker 1")
+        npt.assert_array_equal(link.cache, cache)
+        assert link.rng.bit_generator.state == state
+        assert eng.ledger.total_messages() == 6
+
+    def test_overflowing_residual_keeps_the_compressors_reason(self, logistic_setup):
+        # x is finite, but x - cache is not: the compressor's check finds it,
+        # and the message keeps its reason
+        chain, X, init = logistic_setup
+        eng = PipelineEngine(chain, make_config(CLAPPING_FC, chain), X, init_weights=init)
+        eng.run_iteration()
+        eng.links[FORWARD][0].cache[0, 0] = -1.5e308
+        x = np.full((1, chain.boundary_dim(0)), 1.5e308)
+        with np.errstate(over="ignore"), pytest.raises(DivergenceError) as caught:
+            eng.forward_exchange(0, x, np.zeros(1, dtype=bool), eng.sampler.current)
+        assert str(caught.value) == ("step 2: forward message at boundary 0, sent by worker 1: "
+                                     "compressor input must be finite")
 
     def test_backward_message_names_its_sender(self, logistic_setup):
         chain, X, init = logistic_setup

@@ -93,3 +93,31 @@ def test_engine_calls_the_public_stage_and_compressor_functions(three_worker_eng
         children = [spans[j] for j, parent in enumerate(tracer.parent) if parent == i]
         assert children.count("compressors.compress_batch") == 1, children
     assert spans.count("compressors.compress_batch") == len(exchanges)
+
+
+def test_only_parametric_stages_get_a_weight_adjoint(three_worker_engine):
+    """The pinned call shape after the build-time trims: a step asks for
+    weight adjoints only of stages that have parameters (no tanh, no loss
+    head), every exchange still runs one traced compress_batch, and the
+    traced ledger bytes are the ledger's own total."""
+    eng = three_worker_engine
+    tracer, patches = Tracer(), Patches()
+    instrument(tracer, patches)
+    try:
+        tracer.begin_root(OP, CLAPPING_FC)
+        eng.run(3)
+        tracer.end_root()
+    finally:
+        patches.undo()
+
+    spans = [tracer.names[n] for n in tracer.name_id]
+    parametric = [s for s in eng.chain.stages if s.param_dim]
+    assert len(parametric) == 4  # four affine stages; four tanh and loss stages have none
+    assert spans.count("stages.backward_weight") == 3 * len(parametric)
+    exchanges = [i for i, name in enumerate(spans) if name.endswith("_exchange")]
+    assert len(exchanges) == 3 * 2 * 2
+    for i in exchanges:
+        children = [spans[j] for j, parent in enumerate(tracer.parent) if parent == i]
+        assert children.count("compressors.compress_batch") == 1, children
+    assert spans.count("wire.ledger_record") == len(exchanges)
+    assert tracer.counters[OP]["wire.ledger_payload_bytes"] == eng.ledger.total_bytes() > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from clapping_sim.errors import ConfigurationError
 from clapping_sim.rng import named_stream
@@ -10,6 +12,43 @@ from clapping_sim.sampling import (BATCH_BATCHWISE, BATCH_SAMPLEWISE, SINGLE, Sa
 def make_sampler(rule=SINGLE, batch=1, p=1.0, n=16, force2=False):
     return SamplerState(rule=rule, batch_size=batch, p_schedule=Schedule.constant(p),
                         n_samples=n, force_fresh_at_step_2=force2)
+
+
+def walk_value_at(table, t):
+    """The table walk a schedule lookup replaced: last entry with start <= t."""
+    out = table[0][1]
+    for start, value in table:
+        if start <= t:
+            out = value
+        else:
+            break
+    return out
+
+
+def copying_lazy_sample(sampler, rng):
+    """The lazy-sampling step as it was before the sampler handed out its
+    own arrays: a fresh copy of the indices and a fresh mask every step,
+    and p looked up by walking the table. The reference for the rule."""
+    sampler.step += 1
+    t = sampler.step
+    p = walk_value_at(sampler.p_schedule.table, t)
+    b = sampler.batch_size
+    if t == 1:
+        sampler.current = sampler._draw(rng, b).copy()
+        return sampler.current.copy(), np.ones(b, dtype=bool), True
+    if t == 2 and sampler.force_fresh_at_step_2:
+        p = 1.0
+    if sampler.rule == BATCH_SAMPLEWISE:
+        refreshed = rng.random(b) < p
+        fresh = sampler._draw(rng, int(refreshed.sum()))
+        sampler.current = sampler.current.copy()
+        sampler.current[refreshed] = fresh
+    else:
+        refresh_all = bool(rng.random() < p)
+        refreshed = np.full(b, refresh_all)
+        if refresh_all:
+            sampler.current = sampler._draw(rng, b).copy()
+    return sampler.current.copy(), refreshed, bool(refreshed.any())
 
 
 class TestSchedule:
@@ -27,6 +66,17 @@ class TestSchedule:
     def test_starts_strictly_increasing(self):
         with pytest.raises(ConfigurationError):
             Schedule(((1, 0.1), (1, 0.2)))
+
+    @given(gaps=hs.lists(hs.integers(1, 50), max_size=8),
+           values=hs.lists(hs.floats(-10.0, 10.0), min_size=9, max_size=9),
+           steps=hs.lists(hs.integers(1, 500), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_lookup_matches_table_walk(self, gaps, values, steps):
+        starts = np.cumsum([1] + gaps).tolist()  # strictly increasing from 1
+        table = tuple(zip(starts, values))
+        sched = Schedule(table)
+        for t in steps + starts + [s - 1 for s in starts[1:]]:
+            assert sched.value_at(t) == walk_value_at(table, t)
 
 
 class TestLazySample:
@@ -102,6 +152,37 @@ class TestLazySample:
     def test_single_rule_requires_batch_one(self):
         with pytest.raises(ConfigurationError):
             make_sampler(rule=SINGLE, batch=4)
+
+    def test_p_outside_unit_interval_rejected_when_built(self):
+        with pytest.raises(ConfigurationError, match="got 1.5 from step 4"):
+            SamplerState(rule=SINGLE, batch_size=1, p_schedule=Schedule(((1, 0.5), (4, 1.5))),
+                         n_samples=8)
+
+    @pytest.mark.parametrize("rule, batch, n", [(SINGLE, 1, 16), (BATCH_BATCHWISE, 8, 32),
+                                                (BATCH_SAMPLEWISE, 8, 32),
+                                                (BATCH_BATCHWISE, 4, 0), (BATCH_SAMPLEWISE, 4, 0)])
+    def test_returns_read_only_arrays_matching_copying_rule(self, rule, batch, n):
+        # n = 0 is stream mode; p changes at step 30 and step 2 is forced fresh
+        p = Schedule(((1, 0.3), (30, 0.7)))
+        ours = SamplerState(rule=rule, batch_size=batch, p_schedule=p, n_samples=n,
+                            force_fresh_at_step_2=True)
+        ref = SamplerState(rule=rule, batch_size=batch, p_schedule=p, n_samples=n,
+                           force_fresh_at_step_2=True)
+        rng, ref_rng = named_stream(10, "s"), named_stream(10, "s")
+        for _ in range(60):
+            idx, refreshed, f_fu = lazy_sample(ours, rng)
+            want = copying_lazy_sample(ref, ref_rng)
+            np.testing.assert_array_equal(idx, want[0])
+            np.testing.assert_array_equal(refreshed, want[1])
+            assert f_fu == want[2]
+            assert idx is ours.current and idx.dtype == np.int64
+            with pytest.raises(ValueError, match="read-only"):
+                idx[0] = 1
+            if rule != BATCH_SAMPLEWISE or ours.step == 1:
+                assert any(refreshed is mask for mask in ours.masks)
+                with pytest.raises(ValueError, match="read-only"):
+                    refreshed[0] = not refreshed[0]
+        assert ours.draws == ref.draws
 
     def test_stream_mode_counts_draws(self):
         sampler = SamplerState(rule=BATCH_BATCHWISE, batch_size=4,
