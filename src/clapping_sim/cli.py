@@ -31,8 +31,7 @@ def _cmd_fstar(args) -> int:
     if cfg.dataset_kind != "synthetic_logistic":
         raise ConfigurationError("dataset.kind: reference optimum needs the convex logistic dataset")
     *_, data = harness.build_problem(cfg)
-    value = ds.compute_f_star(data)
-    print(f"f_star = {value!r}")
+    print(f"f_star = {ds.compute_f_star(data)!r}")
     return 0
 
 

@@ -206,16 +206,16 @@ class PipelineEngine:
         self.links = tuple([link(d, i, spec) for i, spec in enumerate(specs)] for d, specs in
                            enumerate((config.forward_compressors, config.backward_compressors)))
 
-        self.weights: list[np.ndarray] = []
-        for e in range(1, self.E + 1):
+        if init_weights is None:
+            init_weights = [np.zeros(chain.worker_param_dim(e)) for e in range(1, self.E + 1)]
+        if len(init_weights) != self.E:
+            raise ConfigurationError(f"init_weights: expected {self.E} entries, one per worker, "
+                                     f"got {len(init_weights)}")
+        self.weights = [np.asarray(w, dtype=np.float64).copy() for w in init_weights]
+        for e, w in enumerate(self.weights, start=1):
             d = chain.worker_param_dim(e)
-            if init_weights is not None:
-                w = np.asarray(init_weights[e - 1], dtype=np.float64).copy()
-                if w.shape != (d,):
-                    raise ConfigurationError(f"worker {e} expects {d} parameters")
-            else:
-                w = np.zeros(d)
-            self.weights.append(w)
+            if w.shape != (d,):
+                raise ConfigurationError(f"worker {e} expects {d} parameters")
         self.momentum = [np.zeros_like(w) for w in self.weights]
         self.second_moment = (
             [np.zeros_like(w) for w in self.weights] if config.optimizer.kind == ADAM else []
@@ -270,26 +270,6 @@ class PipelineEngine:
                                     f"{want[0]} rows of width {want[1]}, got {got}")
         return rows
 
-    # -- worker-local math ---------------------------------------------
-
-    def _worker_backward(self, e: int, tape: list[np.ndarray], v_out: np.ndarray):
-        """Backward through worker e, consuming its tape; returns (weight
-        grad averaged over the batch, in the worker's gradient buffer;
-        input activation gradient rows). Worker 1's input is the data
-        rows, which nothing differentiates, so it returns None there
-        instead of computing that adjoint."""
-        plan = self.plans[e - 1]
-        v = v_out
-        for idx in reversed(range(len(plan.stages))):
-            stage, w, y = plan.stages[idx], plan.params[idx], tape.pop()
-            if stage.param_dim:
-                st.stage_backward_weight(stage, y, w, v, out=plan.stage_grads[idx])
-            if idx > 0 or e > 1:
-                v = st.stage_backward_input(stage, y, w, v)
-        if len(plan.grad):
-            np.divide(plan.grad, self.B, out=plan.grad)
-        return plan.grad, (v if e > 1 else None)
-
     # -- exchanges -------------------------------------------------------
 
     def forward_exchange(self, i: int, y: np.ndarray, fresh_rows: np.ndarray,
@@ -328,7 +308,7 @@ class PipelineEngine:
         t = self.t + 1
         indices, refreshed, f_fu = lazy_sample(self.sampler, self._rng_sample)
 
-        tapes = []  # per worker: [input, each forward stage's output]
+        tapes = []  # per worker: the stage tape of st.run_stages
         y = self._batch_rows(indices, refreshed, f_fu)
         for e, plan in enumerate(self.plans, start=1):
             tapes.append(st.run_stages(plan.forward_stages, y, plan.forward_params))
@@ -343,11 +323,13 @@ class PipelineEngine:
 
         v = self._loss_adjoint
         for e in range(self.E, 0, -1):
-            u_e, v_in = self._worker_backward(e, tapes.pop(), v)
-            if len(u_e):  # a worker without parameters has nothing to update
-                self._update_worker(e, u_e, gamma, m_t)
+            plan = self.plans[e - 1]  # worker 1's input is the data rows: no adjoint
+            v = st.pull_back(plan.stages, tapes.pop(), plan.params, v, plan.stage_grads, e > 1)
+            if len(plan.grad):  # a worker without parameters has nothing to update
+                np.divide(plan.grad, self.B, out=plan.grad)
+                self._update_worker(e, plan.grad, gamma, m_t)
             if e > 1:
-                v = self.backward_exchange(e - 2, v_in, refreshed)
+                v = self.backward_exchange(e - 2, v, refreshed)
 
         self.t = t
         return f_fu

@@ -298,10 +298,8 @@ def build_problem(cfg: ExperimentConfig):
     rng = named_stream(cfg.dataset_seed, "dataset/mlp-inputs")
     inputs = rng.standard_normal((cfg.dataset_n, chain.input_dim))
     w_rng = named_stream(cfg.dataset_seed, "dataset/mlp-init")
-    init = [
-        0.4 * w_rng.standard_normal(chain.worker_param_dim(e))
-        for e in range(1, chain.num_workers + 1)
-    ]
+    init = [0.4 * w_rng.standard_normal(chain.worker_param_dim(e))
+            for e in range(1, chain.num_workers + 1)]
     return chain, inputs, init, None
 
 
@@ -347,8 +345,7 @@ def read_metrics(path: str | Path) -> dict[str, np.ndarray]:
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     header, body = rows[0], rows[1:]
-    cols = {name: np.array([float(r[i]) for r in body]) for i, name in enumerate(header)}
-    return cols
+    return {name: np.array([float(r[i]) for r in body]) for i, name in enumerate(header)}
 
 
 # -- memory calculator -----------------------------------------------------

@@ -18,6 +18,10 @@ Stage kinds:
   regularized_logistic_loss
                   (z, s) -> log(1 + exp(z)) + c_r * s, where s carries a
                   squared parameter norm produced upstream
+
+A forward pass keeps a tape of what each stage's backward reads: its
+input, or, for tanh and relu (``saves_output``), its output, so their
+input is dropped once they have run. ``pull_back`` is the backward loop.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ class StageSpec:
     """One operator in the chain. ``extra`` holds kind-specific constants
     (``c_r`` for the regularized head, ``append_sq_norm`` for linear).
     Built specs also carry ``append_sq_norm``, ``c_r``, ``matrix_rows``
-    (weight-matrix rows of a parametric kind) and ``param_dim``."""
+    (weight-matrix rows of a parametric kind), ``param_dim`` and ``saves_output``."""
 
     kind: str
     input_dim: int
@@ -80,6 +84,7 @@ class StageSpec:
         object.__setattr__(self, "matrix_rows", rows)
         object.__setattr__(self, "param_dim", param_dim)
         object.__setattr__(self, "c_r", c_r)
+        object.__setattr__(self, "saves_output", self.kind in (TANH, RELU))
 
 
 _F64 = np.dtype(np.float64)
@@ -112,10 +117,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
-def _softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
-
-
 def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply a_e(y_in, w). Pure; returns an array of trailing dim output_dim."""
     y = _check_vec("y_in", y_in, stage.input_dim)
@@ -130,23 +131,26 @@ def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarr
         return out
     if stage.kind == AFFINE_BIAS:
         mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
-        bias = w[stage.output_dim * stage.input_dim :]
-        return y @ mat.T + bias
+        out = y @ mat.T
+        out += w[stage.output_dim * stage.input_dim :]  # the bias
+        return out
     if stage.kind == TANH:
         return np.tanh(y)
     if stage.kind == RELU:
         return np.maximum(y, 0.0)
     if stage.kind == LOGISTIC_LOSS:
-        return _softplus(y[..., :1])
+        return np.logaddexp(0.0, y[..., :1])  # softplus
     # regularized_logistic_loss
-    return _softplus(y[..., :1]) + stage.c_r * y[..., 1:2]
+    return np.logaddexp(0.0, y[..., :1]) + stage.c_r * y[..., 1:2]
 
 
 def stage_backward_input(
-    stage: StageSpec, y_in: np.ndarray, w: np.ndarray, v_out: np.ndarray
+    stage: StageSpec, saved: np.ndarray, w: np.ndarray, v_out: np.ndarray
 ) -> np.ndarray:
-    """Adjoint with respect to the input: J_y(a_e)^T v_out."""
-    y = _check_vec("y_in", y_in, stage.input_dim)
+    """Adjoint with respect to the input: J_y(a_e)^T v_out. ``saved`` is
+    the stage's tape entry: its input, or its output where
+    ``stage.saves_output`` is set (tanh and relu)."""
+    y = _check_vec("saved", saved, stage.input_dim)
     v = _check_vec("v_out", v_out, stage.output_dim)
     w = _check_params(w, stage.param_dim)
     if stage.kind == LINEAR:
@@ -155,9 +159,11 @@ def stage_backward_input(
     if stage.kind == AFFINE_BIAS:
         mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
         return v @ mat
-    if stage.kind == TANH:
-        return v * (1.0 - np.tanh(y) ** 2)
-    if stage.kind == RELU:
+    if stage.kind == TANH:  # v * (1 - tanh^2), in one temporary
+        d = np.square(y)
+        np.subtract(1.0, d, out=d)
+        return np.multiply(v, d, out=d) if d.shape == v.shape else v * d
+    if stage.kind == RELU:  # max(y, 0) > 0 exactly when y > 0
         return v * (y > 0.0)
     if stage.kind == LOGISTIC_LOSS:
         return _sigmoid(y[..., :1]) * v
@@ -274,15 +280,36 @@ class ModelChain:
 def run_stages(
     stages: tuple[StageSpec, ...], x: np.ndarray, params: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Apply stages in order; returns [x, output of each stage]."""
-    ys = [x]
+    """Apply stages in order; returns the tape, one entry per stage, then
+    the last output. A ``saves_output`` stage's entry is the array of the
+    entry after it, and its input is no longer held."""
+    tape = [x]
     for stage, w in zip(stages, params):
-        ys.append(stage_forward(stage, ys[-1], w))
-    return ys
+        y = stage_forward(stage, tape[-1], w)
+        if stage.saves_output:
+            tape[-1] = y
+        tape.append(y)
+    return tape
+
+
+def pull_back(stages: tuple[StageSpec, ...], tape: list[np.ndarray], params: list[np.ndarray],
+              v: np.ndarray, grads: list | None = None, to_input: bool = True):
+    """Pull ``v``, the adjoint of the last stage's output, back through
+    ``stages``, popping each one's entry of ``tape`` (a ``run_stages`` tape
+    without its last output) once it is done. Given ``grads``, weight
+    adjoints go into ``grads[idx]``, allocated where it is None. Returns
+    the first stage's input adjoint, or None without ``to_input``."""
+    for idx in reversed(range(len(stages))):
+        stage, w, saved = stages[idx], params[idx], tape.pop()
+        if grads is not None and stage.param_dim:
+            grads[idx] = stage_backward_weight(stage, saved, w, v, out=grads[idx])
+        if idx or to_input:
+            v = stage_backward_input(stage, saved, w, v)
+    return v if to_input else None
 
 
 def chain_forward(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> list[np.ndarray]:
-    """Run every stage; returns [y_0, y_1, ..., y_E] with y_0 = x."""
+    """Run every stage; returns the tape of ``run_stages``."""
     if len(w_all) != len(chain.stages):
         raise ContractViolation("need one parameter vector per stage")
     return run_stages(chain.stages, np.asarray(x, dtype=np.float64), w_all)
@@ -290,8 +317,7 @@ def chain_forward(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> 
 
 def chain_loss(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> float:
     """Scalar loss of the composed chain; batch inputs are averaged."""
-    out = chain_forward(chain, x, w_all)[-1]
-    return float(np.mean(out))
+    return float(np.mean(chain_forward(chain, x, w_all)[-1]))
 
 
 def logistic_chain(dim: int, c_r: float) -> ModelChain:
@@ -324,20 +350,16 @@ def chain_gradients(
     Returns (loss, weight gradient per stage). The terminal activation
     gradient is seeded with 1; for batch inputs gradients are averaged
     over the batch. Activation gradients are not kept: each is dropped
-    once the next one down is formed, each stage input once its stage's
+    once the next one down is formed, each tape entry once its stage's
     backward has run, and the gradient with respect to the chain input is
     not computed.
     """
-    ys = chain_forward(chain, x, w_all)
-    batched = ys[0].ndim == 2
-    scale = 1.0 / ys[0].shape[0] if batched else 1.0
-    loss = float(np.mean(ys[-1]))
-    v = np.ones_like(ys.pop())
-    u_all: list[np.ndarray] = [np.zeros(0)] * len(chain.stages)
-    for i in reversed(range(len(chain.stages))):
-        stage, w, y = chain.stages[i], w_all[i], ys.pop()
-        u_all[i] = stage_backward_weight(stage, y, w, v)
-        u_all[i] *= scale
-        if i > 0:
-            v = stage_backward_input(stage, y, w, v)
-    return loss, u_all
+    tape = chain_forward(chain, x, w_all)
+    scale = 1.0 / tape[0].shape[0] if tape[0].ndim == 2 else 1.0
+    loss = float(np.mean(tape[-1]))
+    v = np.ones_like(tape.pop())
+    grads = [None if s.param_dim else np.zeros(0) for s in chain.stages]
+    pull_back(chain.stages, tape, w_all, v, grads, to_input=False)
+    for g in grads:
+        g *= scale
+    return loss, grads

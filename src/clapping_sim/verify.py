@@ -48,6 +48,12 @@ class CheckReport:
             "diagnostics": self.diagnostics,
         }, indent=2)
 
+    def see(self, deviation: float, diagnostic: str) -> None:
+        """Count one case, and keep it as the worst if none deviated more."""
+        self.cases += 1
+        if deviation > self.max_deviation:
+            self.max_deviation, self.diagnostics = deviation, [diagnostic]
+
     def summary(self) -> str:
         flag = "PASS" if self.passed else "FAIL"
         return (f"{flag} {self.suite}: {self.cases} cases, "
@@ -108,23 +114,19 @@ def check_chain_gradients(
     """Backpropagated adjoints against central finite differences, per
     stage kind and through full chains."""
     rng = named_stream(seed, "verify/gradients")
-    worst = 0.0
-    diags = []
-    cases = 0
+    report = CheckReport("chain-gradients", 0, 0.0, tol)
     for kind in st.STAGE_KINDS:
         for _ in range(trials):
             spec, y, w = _random_stage(kind, rng)
             v = rng.standard_normal(spec.output_dim)
-            bp_in = st.stage_backward_input(spec, y, w, v)
+            saved = st.stage_forward(spec, y, w) if spec.saves_output else y
+            bp_in = st.stage_backward_input(spec, saved, w, v)
             err = _rel_err(bp_in, _central_diff(lambda y_: st.stage_forward(spec, y_, w), y, v, h))
             if spec.param_dim:
                 bp_w = st.stage_backward_weight(spec, y, w, v)
                 fd_w = _central_diff(lambda w_: st.stage_forward(spec, y, w_), w, v, h)
                 err = max(err, _rel_err(bp_w, fd_w))
-            cases += 1
-            if err > worst:
-                worst = err
-                diags = [f"worst stage case: kind={kind} err={err:.3e}"]
+            report.see(err, f"worst stage case: kind={kind} err={err:.3e}")
 
     chains = [chain] if chain is not None else [
         st.tanh_mlp_chain((4, 6, 3), boundaries=(2,)),
@@ -144,27 +146,22 @@ def check_chain_gradients(
                 fd = _central_diff(lambda w_: np.array([st.chain_loss(
                     ch, x, w_all[:si] + [w_] + w_all[si + 1:])]), w, one, h)
                 err = _rel_err(u_all[si], fd)
-                cases += 1
-                if err > worst:
-                    worst = err
-                    diags = [f"worst chain case: stage {si} err={err:.3e}"]
-            # activation gradients against finite differences over y_e;
-            # v_all[si] is the adjoint of stage si's output, pulled back
-            # from the loss one stage at a time
-            ys = st.chain_forward(ch, x, w_all)
+                report.see(err, f"worst chain case: stage {si} err={err:.3e}")
+            # activation gradients against finite differences over y_e, the
+            # true stage inputs; v_all[si] is the adjoint of stage si's
+            # output, pulled back from the loss one stage at a time
+            ys = [st.run_stages(ch.stages[:i], x, w_all[:i])[-1] for i in range(len(ch.stages) + 1)]
             v_all = [np.ones_like(ys[-1])]
             for sj in reversed(range(1, len(ch.stages))):
-                v_all.insert(0, st.stage_backward_input(ch.stages[sj], ys[sj], w_all[sj], v_all[0]))
+                saved = ys[sj + 1] if ch.stages[sj].saves_output else ys[sj]
+                v_all.insert(0, st.stage_backward_input(ch.stages[sj], saved, w_all[sj], v_all[0]))
             for si in range(len(ch.stages) - 1):
                 rest = ch.stages[si + 1:]
                 fd = _central_diff(lambda y_: st.run_stages(rest, y_, w_all[si + 1:])[-1],
                                    ys[si + 1], one, h)
                 err = _rel_err(v_all[si], fd)
-                cases += 1
-                if err > worst:
-                    worst = err
-                    diags = [f"worst activation case: boundary {si} err={err:.3e}"]
-    return CheckReport("chain-gradients", cases, worst, tol, diags)
+                report.see(err, f"worst activation case: boundary {si} err={err:.3e}")
+    return report
 
 
 # -- error-feedback fixed-point decay ----------------------------------------
@@ -283,11 +280,9 @@ def _worker_apply(chain, e, weights, y_in):
 
 
 def _worker_pullback(chain, e, weights, tape, v):
+    # pull_back pops its tape, and each tape here is pulled back more than once
     stages = chain.worker_stages(e)
-    params = chain.split_params(stages, weights[e - 1])
-    for idx in reversed(range(len(stages))):
-        v = st.stage_backward_input(stages[idx], tape[idx], params[idx], v)
-    return v
+    return st.pull_back(stages, tape[:-1], chain.split_params(stages, weights[e - 1]), v)
 
 
 def check_error_propagation(
@@ -303,9 +298,7 @@ def check_error_propagation(
     bounds with constants measured on the trial states."""
     rng = named_stream(seed, "verify/error-propagation")
     E = chain.num_workers
-    worst = -np.inf
-    diags: list[str] = []
-    cases = 0
+    report = CheckReport("error-propagation", 0, -np.inf, 0.0)
     for trial in range(trials):
         weights = [0.6 * rng.standard_normal(chain.worker_param_dim(e)) for e in range(1, E + 1)]
         x = rng.standard_normal(chain.input_dim)
@@ -365,11 +358,8 @@ def check_error_propagation(
         for e in range(1, E):
             lhs = float(np.sum((y_tilde[e] - y_hat[e]) ** 2))
             rhs = sum(2.0 * (2.0 * l_a**2) ** (e - i) * fwd_err[i] for i in range(1, e + 1))
-            cases += 1
-            excess = lhs - rhs * (1.0 + tol_factor) - atol
-            if excess > worst:
-                worst = excess
-                diags = [f"forward boundary {e}, trial {trial}: lhs={lhs:.3e} rhs={rhs:.3e}"]
+            report.see(lhs - rhs * (1.0 + tol_factor) - atol,
+                       f"forward boundary {e}, trial {trial}: lhs={lhs:.3e} rhs={rhs:.3e}")
 
         for e in range(1, E):
             lhs = float(np.sum((v_tilde[e] - v_hat[e]) ** 2))
@@ -379,12 +369,9 @@ def check_error_propagation(
                 for i in range(1, E)
                 for s in range(max(e, i), E)
             )
-            cases += 1
-            excess = lhs - rhs * (1.0 + tol_factor) - atol
-            if excess > worst:
-                worst = excess
-                diags = [f"backward boundary {e}, trial {trial}: lhs={lhs:.3e} rhs={rhs:.3e}"]
-    return CheckReport("error-propagation", cases, worst, 0.0, diags)
+            report.see(lhs - rhs * (1.0 + tol_factor) - atol,
+                       f"backward boundary {e}, trial {trial}: lhs={lhs:.3e} rhs={rhs:.3e}")
+    return report
 
 
 # -- sampler statistics -------------------------------------------------------

@@ -24,7 +24,8 @@ Values travel as float32, so a decoded DENSE/SPARSE body equals the
 float32 cast of what was sent (bit-exact when the values are float32-
 representable). QUANT and NATURAL bodies decode to the compressor's
 in-process reconstruction exactly, because their codes are integers and
-the QUANT scale is float32 by construction.
+the QUANT scale is float32 by construction. No float32 inf or NaN
+travels: both the encoder and the decoder refuse one.
 
 Decoding SPARSE and COMPOSE needs the boundary dimension, and QUANT needs
 the bit width; both are connection state known to each endpoint.
@@ -144,6 +145,16 @@ def _u32_indices(indices) -> np.ndarray:
     return idx.astype("<u4")
 
 
+def _float32(values) -> np.ndarray:
+    """``values`` as the float32 the wire carries, refusing any that would travel non-finite."""
+    with np.errstate(over="ignore"):
+        out = np.asarray(values, dtype="<f4")
+    if not np.isfinite(out).all():
+        bad = np.asarray(values, dtype=np.float64)[~np.isfinite(out)][0]
+        raise ConfigurationError(f"value {bad:.4g} is outside float32 range")
+    return out
+
+
 def _check_decoded_indices(idx: np.ndarray, dim: int, fmt_name: str) -> None:
     if (idx[1:] <= idx[:-1]).any():
         raise DecodeError(f"{fmt_name} indices not strictly ascending")
@@ -153,16 +164,16 @@ def _check_decoded_indices(idx: np.ndarray, dim: int, fmt_name: str) -> None:
 
 def _encode_body(body: WireBody) -> bytes:
     if body.fmt == FMT_DENSE:
-        return np.asarray(body.values, dtype="<f4").tobytes()
+        return _float32(body.values).tobytes()
     if body.fmt == FMT_SPARSE:
         entries = np.empty(len(body.indices), dtype=_SPARSE_ENTRY)
         entries["i"] = _u32_indices(body.indices)
-        entries["v"] = body.values
+        entries["v"] = _float32(body.values)
         return entries.tobytes()
     if body.fmt == FMT_QUANT:
         offset = (1 << (body.bits - 1)) - 1
         stored = np.asarray(body.codes, dtype=np.int64) + offset
-        return struct.pack("<f", float(body.scale)) + _pack_bits(stored, body.bits)
+        return _float32([body.scale]).tobytes() + _pack_bits(stored, body.bits)
     if body.fmt == FMT_NATURAL:
         codes = np.asarray(body.codes, dtype=np.uint8)
         if (codes == 0x80).any():
@@ -258,6 +269,8 @@ def decode_message(data: bytes, dim: int, bits: int = 0, compose_inner: int = FM
     if direction not in (FORWARD, BACKWARD):
         raise DecodeError(f"unknown direction {direction}")
     values = _decode_body(tag, data[HEADER_BYTES:], dim, bits, compose_inner)
+    if not np.isfinite(values).all():
+        raise DecodeError("non-finite decoded value")
     return (step, boundary, direction, tag), values
 
 

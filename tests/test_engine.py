@@ -368,6 +368,38 @@ class TestAqsgd:
             untouched = [i for i in range(8) if i != row]
             npt.assert_array_equal(after[untouched], before[untouched])
 
+    def test_a_sample_drawn_twice_keeps_its_last_rows_reconstruction(self, monkeypatch):
+        # batch_samplewise draws rows with replacement. Every row of a
+        # sample drawn twice is compressed against the same pre-step cache
+        # entry, and the cache keeps the last row's reconstruction, by
+        # numpy's fancy-assignment order (the README states this)
+        chain = st.tanh_mlp_chain((5, 6, 3), boundaries=(2,))
+        rng = named_stream(14, "aq")
+        X = rng.standard_normal((4, 5))
+        init = [rng.standard_normal(chain.worker_param_dim(e)) for e in (1, 2)]
+        cfg = make_config(AQ_SGD, chain, fwd=(comp.randk_spec(2),), batch=4,
+                          rule=BATCH_SAMPLEWISE, seed=0)
+        eng = PipelineEngine(chain, cfg, X, init_weights=init)
+        sent = []
+        real = comp.compress_batch
+
+        def recording(spec, x, rng=None):
+            out = real(spec, x, rng)
+            sent.append(out[0].copy())
+            return out
+
+        monkeypatch.setattr(comp, "compress_batch", recording)
+        received = record_exchanges(eng)
+        eng.run_iteration()
+        npt.assert_array_equal(eng.sampler.current, [3, 2, 3, 3])  # sample 3 at rows 0, 2, 3
+        rows = sent[0]  # the forward message, C(x - 0) per row: the cache starts at zero
+        npt.assert_array_equal(received[FORWARD, 0], rows)  # each row is received as sent
+        assert not np.array_equal(rows[0], rows[3]) and not np.array_equal(rows[2], rows[3])
+        cache = eng.links[FORWARD][0].cache
+        npt.assert_array_equal(cache[3], rows[3])
+        npt.assert_array_equal(cache[2], rows[1])
+        npt.assert_array_equal(cache[[0, 1]], 0.0)  # never drawn
+
     def test_streaming_inputs_rejected(self):
         chain = st.logistic_chain(4, 0.01)
         stream = StreamingInputs(dim=5, draw=lambda rng, k: rng.standard_normal((k, 5)))
@@ -656,6 +688,13 @@ class TestMisc:
         _, grads = st.chain_gradients(chain, X[idx], w_stages)
         expected = np.concatenate(w_stages) - 0.1 * 0.5 * np.concatenate(grads)
         npt.assert_allclose(eng.flat_weights(), expected, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_init_weights_need_one_entry_per_worker(self, logistic_setup, entries):
+        chain, X, init = logistic_setup
+        with pytest.raises(ConfigurationError, match="init_weights: expected 2 entries"):
+            PipelineEngine(chain, make_config(NO_COMP, chain), X,
+                           init_weights=(init * 2)[:entries])
 
     def test_wrong_compressor_count_rejected(self, logistic_setup):
         chain, X, _ = logistic_setup

@@ -51,8 +51,8 @@ class TestStageForward:
 
     def test_relu_subgradient_zero_is_zero(self):
         spec = st.StageSpec(st.RELU, 3, 3)
-        out = st.stage_backward_input(spec, np.array([0.0, -1.0, 2.0]), np.zeros(0),
-                                      np.ones(3))
+        saved = st.stage_forward(spec, np.array([0.0, -1.0, 2.0]), np.zeros(0))  # the output
+        out = st.stage_backward_input(spec, saved, np.zeros(0), np.ones(3))
         npt.assert_array_equal(out, [0.0, 0.0, 1.0])
 
     def test_dimension_mismatch_raises(self):
@@ -195,6 +195,30 @@ class TestStageBackward:
         fd = fd_input(spec, y, w, v)
         assert np.linalg.norm(bp - fd) / np.linalg.norm(fd) < 1e-6
 
+    def test_tanh_and_relu_differentiate_from_their_output(self):
+        tanh, relu = st.StageSpec(st.TANH, 4, 4), st.StageSpec(st.RELU, 4, 4)
+        assert tanh.saves_output and relu.saves_output
+        assert not any(st.StageSpec(k, 2, 2).saves_output for k in (st.LINEAR, st.AFFINE_BIAS))
+        # the saved array is tanh's output t: the adjoint is v * (1 - t^2), exact here
+        saved, v = np.array([0.0, 0.5, -0.25, 0.75]), np.array([2.0, 1.0, -4.0, 16.0])
+        out = st.stage_backward_input(tanh, saved, np.zeros(0), v)
+        npt.assert_array_equal(out, [2.0, 0.75, -3.75, 7.0])
+        npt.assert_array_equal(saved, [0.0, 0.5, -0.25, 0.75])  # neither input is written
+        npt.assert_array_equal(v, [2.0, 1.0, -4.0, 16.0])
+        # relu's output max(y, 0) is positive exactly where y is
+        out = st.stage_backward_input(relu, np.array([0.0, 0.0, 3.0, 1e-300]), np.zeros(0), v)
+        npt.assert_array_equal(out, [0.0, 0.0, -4.0, 16.0])
+
+    @pytest.mark.parametrize("saved_shape, v_shape", [((4,), (3, 4)), ((3, 4), (4,))])
+    def test_tanh_adjoint_broadcasts_a_row_against_a_batch(self, saved_shape, v_shape):
+        spec = st.StageSpec(st.TANH, 4, 4)
+        rng = named_stream(10, "broadcast")
+        saved = np.tanh(rng.standard_normal(saved_shape))
+        v = rng.standard_normal(v_shape)
+        out = st.stage_backward_input(spec, saved, np.zeros(0), v)
+        assert out.shape == (3, 4)
+        assert np.array_equal(out, v * (1.0 - saved**2))
+
     def test_tanh_weight_adjoint_is_empty(self):
         spec = st.StageSpec(st.TANH, 3, 3)
         out = st.stage_backward_weight(spec, np.ones(3), np.zeros(0), np.ones(3))
@@ -234,12 +258,63 @@ class TestStageBackward:
             w = rng.standard_normal(spec.param_dim)
             v = rng.standard_normal(spec.output_dim)
             fd_in = fd_input(spec, y, w, v)
-            bp_in = st.stage_backward_input(spec, y, w, v)
+            saved = st.stage_forward(spec, y, w) if spec.saves_output else y
+            bp_in = st.stage_backward_input(spec, saved, w, v)
             assert np.linalg.norm(bp_in - fd_in) <= 1e-6 * max(np.linalg.norm(fd_in), 1e-3)
             if spec.param_dim:
                 fd_w = fd_weight(spec, y, w, v)
                 bp_w = st.stage_backward_weight(spec, y, w, v)
                 assert np.linalg.norm(bp_w - fd_w) <= 1e-6 * max(np.linalg.norm(fd_w), 1e-3)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def input_tape_backward(stages, params, x, v, to_input):
+    """The forward and backward loops as they were before tapes kept any
+    stage's output: the affine bias added out of place, every stage's
+    input on the tape, tanh' recomputed from the pre-activation and relu'
+    read from it. Returns (output, weight adjoints, input adjoint)."""
+    ys = [x]
+    for stage, w in zip(stages, params):
+        if stage.kind == st.AFFINE_BIAS:
+            n = stage.output_dim * stage.input_dim
+            ys.append(ys[-1] @ w[:n].reshape(stage.output_dim, stage.input_dim).T + w[n:])
+        else:
+            ys.append(st.stage_forward(stage, ys[-1], w))
+    grads = [None] * len(stages)
+    for i in reversed(range(len(stages))):
+        stage, w, y = stages[i], params[i], ys[i]
+        if stage.param_dim:
+            grads[i] = st.stage_backward_weight(stage, y, w, v)
+        if i == 0 and not to_input:
+            break
+        if stage.kind == st.TANH:
+            v = v * (1.0 - np.tanh(y) ** 2)
+        elif stage.kind == st.RELU:
+            v = v * (y > 0.0)
+        else:
+            v = st.stage_backward_input(stage, y, w, v)
+    return ys[-1], grads, v
+
+
+@hs.composite
+def small_chains(draw):
+    """Stage tuples of linear (with or without the appended squared norm),
+    affine, tanh and relu stages, a batch size (None for one 1-D row) and
+    a seed for the values."""
+    dim, stages = draw(hs.integers(1, 5)), []
+    kinds = (st.LINEAR, st.AFFINE_BIAS, st.TANH, st.RELU)
+    for kind in draw(hs.lists(hs.sampled_from(kinds), min_size=1, max_size=6)):
+        if kind in (st.TANH, st.RELU):
+            stages.append(st.StageSpec(kind, dim, dim))
+            continue
+        sq_norm = kind == st.LINEAR and draw(hs.booleans())
+        out = draw(hs.integers(1, 5)) + sq_norm
+        stages.append(st.StageSpec(kind, dim, out, {"append_sq_norm": True} if sq_norm else {}))
+        dim = out
+    return tuple(stages), draw(hs.sampled_from([None, 1, 3])), draw(hs.integers(0, 2**16))
 
 
 class TestModelChain:
@@ -341,18 +416,21 @@ class TestModelChain:
         assert len(u_all) == len(chain.stages)
 
     def test_chain_gradients_peak_stays_near_the_forward_tape(self):
-        # the 4-worker width-512 MLP on 1024 rows: the forward tape is
-        # about 34 MB and the weight gradients about 8 MB. Holding a scaled
-        # copy of every stage's activation gradient, as chain_gradients
-        # once did, peaks near 82 MB; holding only the tape, the gradients
-        # and the adjoint in flight stays under the bound below.
+        # the 4-worker width-512 MLP on 1024 rows, where one activation is
+        # about 4.2 MB and the weight gradients about 8.4 MB. The tape holds
+        # the four tanh outputs and no affine pre-activation; with the
+        # gradients and two activations in flight (the adjoint and the one
+        # being formed) the peak stays under the bound below, about 33.6 MB.
+        # A tape of stage inputs, where tanh recomputes its output from the
+        # pre-activation, peaks near 42.5 MB; a scaled copy of every stage's
+        # activation gradient, as chain_gradients once kept, near 82 MB.
         chain = st.tanh_mlp_chain((512,) * 5, boundaries=(2, 4, 6))
         rng = named_stream(12, "chain-memory")
         w_all = [0.05 * rng.standard_normal(s.param_dim) for s in chain.stages]
         X = rng.standard_normal((1024, 512))
-        tape = sum(y.nbytes for y in st.chain_forward(chain, X, w_all)[1:])
+        tanh_outputs = sum(s.kind == st.TANH for s in chain.stages) * X.nbytes
         grads = sum(w.nbytes for w in w_all)
-        activation = X.nbytes
+        in_flight = 2 * X.nbytes
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -360,7 +438,53 @@ class TestModelChain:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak < tape + grads + activation, (peak, tape, grads)
+        assert peak < tanh_outputs + grads + in_flight, (peak, tanh_outputs, grads)
+
+    def test_tanh_tape_entry_is_its_output(self):
+        chain = st.tanh_mlp_chain((4, 6, 5, 3), boundaries=(2, 4))
+        rng = named_stream(13, "tape")
+        w_all = [rng.standard_normal(s.param_dim) for s in chain.stages]
+        X = rng.standard_normal((7, 4))
+        tape = st.chain_forward(chain, X, w_all)
+        assert len(tape) == len(chain.stages) + 1
+        pre_activations, y = [], X
+        for i, (stage, w) in enumerate(zip(chain.stages, w_all)):
+            out = st.stage_forward(stage, y, w)
+            if stage.kind == st.TANH:
+                pre_activations.append(y)
+                assert tape[i] is tape[i + 1]
+                npt.assert_array_equal(tape[i], out)
+            else:
+                npt.assert_array_equal(tape[i], y)  # every other stage keeps its input
+            y = out
+        assert len(pre_activations) == 3
+        assert not any(np.array_equal(entry, a) for entry in tape for a in pre_activations)
+
+    @given(small_chains(), hs.booleans())
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    def test_pull_back_matches_the_input_tape_loop_bit_for_bit(self, case, to_input):
+        stages, batch, seed = case
+        rng = np.random.default_rng(seed)
+        shape = (stages[0].input_dim,) if batch is None else (batch, stages[0].input_dim)
+        x = rng.standard_normal(shape)
+        params = [rng.standard_normal(s.param_dim) for s in stages]
+        v = rng.standard_normal(shape[:-1] + (stages[-1].output_dim,))
+        v_before = v.copy()
+        want_out, want_grads, want_v = input_tape_backward(stages, params, x, v, to_input)
+
+        tape = st.run_stages(stages, x, params)
+        assert same_bits(tape.pop(), want_out)
+        grads = [None] * len(stages)
+        got_v = st.pull_back(stages, tape, params, v, grads, to_input)
+        assert tape == []  # every entry popped
+        assert same_bits(v, v_before)
+        for stage, got, want in zip(stages, grads, want_grads):
+            assert (got is None) if stage.param_dim == 0 else same_bits(got, want)
+        assert (got_v is None) if not to_input else same_bits(got_v, want_v)
+        # without grads only the adjoint is pulled back, to the same bits
+        tape = st.run_stages(stages, x, params)[:-1]
+        again = st.pull_back(stages, tape, params, v, to_input=to_input)
+        assert (again is None) if not to_input else same_bits(again, want_v)
 
     def test_batched_loss_is_mean_of_rows(self):
         chain = st.logistic_chain(3, 0.01)

@@ -145,6 +145,23 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="strictly ascending"):
             wire.decode_message(self._compose_message(2, indices, [1.0, 2.0]), 8)
 
+    @pytest.mark.parametrize("fmt", [wire.FMT_DENSE, wire.FMT_SPARSE, wire.FMT_QUANT,
+                                     wire.FMT_COMPOSE])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_float32(self, fmt, bad):
+        f32 = np.float32(bad).tobytes()
+        if fmt == wire.FMT_DENSE:
+            body = np.array([1.0, bad], dtype="<f4").tobytes()
+        elif fmt == wire.FMT_SPARSE:
+            body = struct.pack("<I", 1) + f32
+        elif fmt == wire.FMT_QUANT:  # a bad scale under nonzero and zero codes
+            body = f32 + bytes([0x07, 0x08])
+        else:
+            body = struct.pack("<II", 1, 0) + f32
+        msg = struct.pack("<IHBB", 0, 0, 0, fmt) + body
+        with pytest.raises(DecodeError, match="non-finite"):
+            wire.decode_message(msg, 2, bits=8)
+
     def test_compose_index_out_of_range(self):
         msg = self._compose_message(1, [9], [2.0])
         with pytest.raises(DecodeError):
@@ -169,6 +186,30 @@ class TestEncodeErrors:
         with pytest.raises(ConfigurationError, match="0x80"):
             wire.encode_message(0, 0, 0, body)
 
+
+    def test_value_beyond_float32_range(self):
+        # 1e39 would be written as float32 inf
+        body = comp.compress(comp.identity_spec(), np.array([1e39, 1.0])).body
+        with pytest.raises(ConfigurationError, match="1e\\+39 is outside float32 range"):
+            wire.encode_message(0, 0, 0, body)
+        body = wire.WireBody(fmt=wire.FMT_SPARSE, dim=4, indices=np.array([1, 3]),
+                             values=np.array([2.0, -3.5e38]))
+        with pytest.raises(ConfigurationError, match="outside float32 range"):
+            wire.encode_message(0, 0, 0, body)
+        body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=4, indices=np.array([0]),
+                             inner=wire.WireBody(fmt=wire.FMT_DENSE, dim=1,
+                                                 values=np.array([np.nan])))
+        with pytest.raises(ConfigurationError, match="nan is outside float32 range"):
+            wire.encode_message(0, 0, 0, body)
+        body = wire.WireBody(fmt=wire.FMT_QUANT, dim=2, scale=float("inf"),
+                             codes=np.array([1, -1]), bits=8)
+        with pytest.raises(ConfigurationError, match="inf is outside float32 range"):
+            wire.encode_message(0, 0, 0, body)
+        # the largest float32 itself travels, and comes back as it was sent
+        top = float(np.finfo(np.float32).max)
+        body = comp.compress(comp.identity_spec(), np.array([top, -top])).body
+        _, rec = wire.decode_message(wire.encode_message(0, 0, 0, body), 2)
+        npt.assert_array_equal(rec, [top, -top])
 
     @pytest.mark.parametrize("fmt", [wire.FMT_SPARSE, wire.FMT_COMPOSE])
     @pytest.mark.parametrize("indices, reason", [
@@ -262,7 +303,7 @@ class TestSizeFormula:
               np.array([[2.0**-64, -1.5 * 2.0**-64, 0.0, -1e30]])))
     # an all-zero composed row: no indices and an empty value block
     @example((comp.compose_spec(comp.topk_spec(2), comp.quant_spec(8)), np.zeros((1, 3))))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     def test_batch_sizes_equal_encoded_rows(self, case):
         # one stream for the batch and an equally seeded one for the rows:
         # with one stochastic member both draw the same numbers, so even
@@ -288,3 +329,85 @@ class TestSizeFormula:
             return
         for row, pay, size in zip(x, pays, encoded):
             assert comp.compress_batch(spec, row[None])[1:] == (size, pay.value_bytes)
+
+
+F32 = hs.floats(width=32, allow_nan=False, allow_infinity=False)
+NATURAL_BYTES = hs.integers(0, 255).filter(lambda b: b != 0x80)
+
+
+@hs.composite
+def value_block(draw, fmt, n):
+    """A DENSE, QUANT or NATURAL body of n values, built directly, and the
+    values it must decode to."""
+    if fmt == wire.FMT_DENSE:
+        values = np.array(draw(hs.lists(F32, min_size=n, max_size=n)), dtype=np.float64)
+        return wire.WireBody(fmt=fmt, dim=n, values=values), values
+    if fmt == wire.FMT_QUANT:
+        bits = draw(hs.integers(2, 16))
+        half = (1 << (bits - 1)) - 1
+        codes = np.array(draw(hs.lists(hs.integers(-half, half), min_size=n, max_size=n)),
+                         dtype=np.int64)
+        scale = draw(hs.floats(0.0, float(np.finfo(np.float32).max), width=32))
+        body = wire.WireBody(fmt=fmt, dim=n, scale=scale, codes=codes, bits=bits)
+        return body, codes * (2.0 * scale / (2**bits - 1))
+    codes = np.array(draw(hs.lists(NATURAL_BYTES, min_size=n, max_size=n)), dtype=np.uint8)
+    signs = np.where(codes & 0x80, -1.0, 1.0)
+    values = np.where(codes == 0, 0.0, signs * 2.0 ** ((codes & 0x7F).astype(int) - 64))
+    return wire.WireBody(fmt=fmt, dim=n, codes=codes), values
+
+
+@hs.composite
+def wire_bodies(draw):
+    """A body of any format and the dense vector it must decode to. Sparse
+    and composed bodies may be empty."""
+    fmt = draw(hs.sampled_from([wire.FMT_DENSE, wire.FMT_SPARSE, wire.FMT_QUANT,
+                                wire.FMT_NATURAL, wire.FMT_COMPOSE]))
+    dim = draw(hs.integers(1, 12))
+    if fmt not in (wire.FMT_SPARSE, wire.FMT_COMPOSE):
+        return draw(value_block(fmt, dim))
+    idx = np.array(sorted(draw(hs.sets(hs.integers(0, dim - 1)))), dtype=np.int64)
+    want = np.zeros(dim)
+    if fmt == wire.FMT_SPARSE:
+        want[idx] = draw(hs.lists(F32, min_size=len(idx), max_size=len(idx)))
+        return wire.WireBody(fmt=fmt, dim=dim, indices=idx, values=want[idx]), want
+    inner_fmt = draw(hs.sampled_from([wire.FMT_DENSE, wire.FMT_QUANT, wire.FMT_NATURAL]))
+    inner, want[idx] = draw(value_block(inner_fmt, len(idx)))
+    return wire.WireBody(fmt=fmt, dim=dim, indices=idx, inner=inner), want
+
+
+class TestCodecProperties:
+    @given(wire_bodies(), hs.integers(0, 2**32 - 1), hs.integers(0, 2**16 - 1),
+           hs.sampled_from([wire.FORWARD, wire.BACKWARD]))
+    # natural exponents at +-63, both signs, and zero
+    @example((wire.WireBody(fmt=wire.FMT_NATURAL, dim=5, codes=np.array([1, 127, 129, 255, 0])),
+              np.array([2.0**-63, 2.0**63, -(2.0**-63), -(2.0**63), 0.0])), 0, 0, 0)
+    # empty sparse and composed bodies, and an empty quant value block
+    @example((wire.WireBody(fmt=wire.FMT_SPARSE, dim=3, indices=np.zeros(0, dtype=np.int64),
+                            values=np.zeros(0)), np.zeros(3)), 1, 2, 1)
+    @example((wire.WireBody(fmt=wire.FMT_COMPOSE, dim=3, indices=np.zeros(0, dtype=np.int64),
+                            inner=wire.WireBody(fmt=wire.FMT_QUANT, dim=0, scale=0.0,
+                                                codes=np.zeros(0, dtype=np.int64), bits=8)),
+              np.zeros(3)), 3, 4, 0)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_format_round_trips(self, case, step, boundary, direction):
+        body, want = case
+        msg = wire.encode_message(step, boundary, direction, body)
+        assert len(msg) == wire.HEADER_BYTES + wire.body_size(body)
+        block = body.inner or body
+        header, rec = wire.decode_message(msg, body.dim, block.bits, block.fmt)
+        assert header == (step, boundary, direction, body.fmt)
+        assert rec.dtype == np.float64 and rec.tobytes() == want.tobytes()
+
+    def test_natural_flush_to_zero_and_saturation_edges(self):
+        # below 1.5 * 2^-64 a magnitude flushes to zero; from there it
+        # rounds up to 2^-63; beyond 2^63 it saturates
+        tiny = 2.0**-64
+        x = np.array([tiny, 1.49 * tiny, -1.5 * tiny, 2.0**-63, -(2.0**63), 1e30, 0.0])
+        for spec in (comp.natural_spec(), comp.compose_spec(comp.topk_spec(6), comp.natural_spec())):
+            pay = comp.compress(spec, x)
+            npt.assert_array_equal(pay.reconstruction,
+                                   [0.0, 0.0, -(2.0**-63), 2.0**-63, -(2.0**63), 2.0**63, 0.0])
+            msg = wire.encode_message(0, 0, 0, pay.body)
+            assert len(msg) == wire.HEADER_BYTES + pay.encoded_bytes
+            _, rec = wire.decode_message(msg, len(x), compose_inner=wire.FMT_NATURAL)
+            assert rec.tobytes() == pay.reconstruction.tobytes()
