@@ -83,8 +83,8 @@ class CompressorSpec:
             raise ConfigurationError(f"unknown compressor kind {self.kind!r}")
         if self.kind in (TOPK, RANDK) and self.k < 1:
             raise ConfigurationError(f"{self.kind} needs k >= 1")
-        if self.kind == UNIFORM_QUANT and not 2 <= self.bits <= 16:
-            raise ConfigurationError("uniform_quant bits must be in [2, 16]")
+        if self.kind == UNIFORM_QUANT and self.bits not in wire.QUANT_BITS:
+            raise ConfigurationError(f"uniform_quant bits must be in {wire.QUANT_WIDTHS}")
         if self.kind == COMPOSE:
             if not self.inner:
                 raise ConfigurationError("compose needs at least one member")

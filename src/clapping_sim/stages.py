@@ -100,8 +100,6 @@ def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _check_params(x: np.ndarray, dim: int) -> np.ndarray:
-    if dim == 0:
-        return np.zeros(0)
     if type(x) is np.ndarray and x.dtype is _F64 and x.shape == (dim,):
         return x
     x = np.asarray(x, dtype=np.float64)

@@ -13,8 +13,9 @@ Body by format tag:
   DENSE    d x 4-byte IEEE-754 float32
   SPARSE   k x (u32 index + float32 value), indices strictly ascending,
            used by top-k and rand-k
-  QUANT    float32 scale + ceil(d*bits/8) packed codes (bit-packed,
-           little-endian within each byte)
+  QUANT    float32 scale + ceil(d*bits/8) bytes: code + 2^(bits-1) - 1 in bits
+           bits each, LSB first, little-endian within each byte, zero-padded;
+           bits in [2, 16], codes within +-(2^(bits-1) - 1)
   NATURAL  d bytes, each 1 sign bit (high) + 7-bit exponent offset
            (exponent+64 in [1,127]; 0 is the value zero; 0x80 is invalid)
   COMPOSE  u32 nonzero count + count x u32 indices (strictly ascending) + the
@@ -111,29 +112,20 @@ def value_only_size(body: WireBody) -> int:
     return _body_sizes(body)[1]
 
 
+QUANT_BITS = range(2, 17)  # the quant widths either end accepts; int64 shifts cannot wrap there
+QUANT_WIDTHS = f"[{QUANT_BITS[0]}, {QUANT_BITS[-1]}]"
+
+
 def _pack_bits(codes: np.ndarray, bits: int) -> bytes:
-    out = bytearray((len(codes) * bits + 7) // 8)
-    pos = 0
-    for c in codes:
-        c = int(c)
-        for b in range(bits):
-            if (c >> b) & 1:
-                out[pos >> 3] |= 1 << (pos & 7)
-            pos += 1
-    return bytes(out)
+    """Non-negative codes, ``bits`` bits each, LSB first and little-endian
+    within each byte, zero-padded to ceil(n*bits/8) bytes."""
+    matrix = (codes[:, None] >> np.arange(bits)) & 1
+    return np.packbits(matrix.astype(np.uint8), bitorder="little").tobytes()
 
 
 def _unpack_bits(data: bytes, n: int, bits: int) -> np.ndarray:
-    codes = np.zeros(n, dtype=np.int64)
-    pos = 0
-    for i in range(n):
-        c = 0
-        for b in range(bits):
-            if data[pos >> 3] & (1 << (pos & 7)):
-                c |= 1 << b
-            pos += 1
-        codes[i] = c
-    return codes
+    flat = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n * bits, bitorder="little")
+    return flat.reshape(n, bits) @ (1 << np.arange(bits))
 
 
 def _u32_indices(indices) -> np.ndarray:
@@ -171,11 +163,20 @@ def _encode_body(body: WireBody) -> bytes:
         entries["v"] = _float32(body.values)
         return entries.tobytes()
     if body.fmt == FMT_QUANT:
-        offset = (1 << (body.bits - 1)) - 1
-        stored = np.asarray(body.codes, dtype=np.int64) + offset
-        return _float32([body.scale]).tobytes() + _pack_bits(stored, body.bits)
+        if body.bits not in QUANT_BITS:
+            raise ConfigurationError(f"quant bit width {body.bits} outside {QUANT_WIDTHS}")
+        half = (1 << (body.bits - 1)) - 1
+        codes = np.asarray(body.codes, dtype=np.int64)
+        if ((codes < -half) | (codes > half)).any():  # np.abs would wrap at int64's minimum
+            raise ConfigurationError(f"quant code outside +-{half} at {body.bits} bits")
+        if codes.shape != (body.dim,):  # a surplus code could share the last padded byte
+            raise ConfigurationError(f"quant codes of shape {codes.shape} for dimension {body.dim}")
+        return _float32([body.scale]).tobytes() + _pack_bits(codes + half, body.bits)
     if body.fmt == FMT_NATURAL:
-        codes = np.asarray(body.codes, dtype=np.uint8)
+        codes = np.asarray(body.codes)
+        if codes.dtype != np.uint8 and ((codes < 0) | (codes > 255)).any():
+            raise ConfigurationError("natural code outside [0, 255]")
+        codes = codes.astype(np.uint8, copy=False)
         if (codes == 0x80).any():
             raise ConfigurationError("natural byte 0x80 is reserved")
         return codes.tobytes()
@@ -196,8 +197,8 @@ def encode_message(step: int, boundary: int, direction: int, body: WireBody) -> 
 
 
 def _decode_quant_values(raw: bytes, dim: int, bits: int) -> np.ndarray:
-    if bits < 2:
-        raise DecodeError("quant decoding needs the bit width")
+    if bits not in QUANT_BITS:
+        raise DecodeError(f"quant bit width {bits} outside {QUANT_WIDTHS}")
     if len(raw) != sizes(FMT_QUANT, dim, bits=bits)[0]:
         raise DecodeError("quant body length mismatch")
     scale = struct.unpack("<f", raw[:4])[0]

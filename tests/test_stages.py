@@ -158,10 +158,32 @@ class TestChecks:
                 with pytest.raises(ContractViolation):
                     call(LINEAR_3_2, *args)
 
+    @pytest.mark.parametrize("w", [np.ones(99), np.zeros(1), np.zeros((0, 0)), [0.0] * 3],
+                             ids=["99", "1", "2-d", "list"])
+    def test_a_stage_without_parameters_refuses_any(self, w):
+        tanh = st.StageSpec(st.TANH, 3, 3)
+        with pytest.raises(ContractViolation, match="w: expected 0 parameters, got shape"):
+            st._check_params(w, 0)
+        for call in (st.stage_forward, st.stage_backward_input):
+            args = (np.zeros(3), w) + ((np.ones(3),) if call is not st.stage_forward else ())
+            with pytest.raises(ContractViolation):
+                call(tanh, *args)
+
+    def test_a_chain_refuses_parameters_for_its_tanh_stage(self):
+        chain = st.tanh_mlp_chain((3, 4), (2,))
+        x = np.ones((2, 3))
+        w_all = [np.zeros(s.param_dim) for s in chain.stages]
+        st.chain_loss(chain, x, w_all)
+        w_all[1] = np.ones(99)  # the tanh stage
+        with pytest.raises(ContractViolation, match="expected 0 parameters, got shape \\(99,\\)"):
+            st.chain_loss(chain, x, w_all)
+
     def test_fast_pass_returns_the_array_itself(self):
         y, w = np.zeros((4, 3)), np.zeros(6)
         assert st._check_vec("y_in", y, 3) is y
         assert st._check_params(w, 6) is w
+        empty = np.zeros(0)  # a stage without parameters, too
+        assert st._check_params(empty, 0) is empty
         view = np.zeros((4, 5))[:, :3]  # a strided view passes as it is, as asarray would
         assert st._check_vec("y_in", view, 3) is view
 

@@ -162,6 +162,24 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError, match="non-finite"):
             wire.decode_message(msg, 2, bits=8)
 
+    @pytest.mark.parametrize("bits", [0, 1, 17, 64])
+    def test_quant_width_outside_2_to_16(self, bits):
+        # the body length matches the width, so only the width can refuse it
+        msg = struct.pack("<IHBBf", 0, 0, 0, wire.FMT_QUANT, 1.0) + bytes((3 * bits + 7) // 8)
+        with pytest.raises(DecodeError, match=f"quant bit width {bits} outside"):
+            wire.decode_message(msg, 3, bits=bits)
+
+    def test_every_8_bit_quant_byte(self):
+        # stored byte b is code b - 127; at scale 127.5 one level is exactly 1.0
+        quant = struct.pack("<IHBBf", 0, 0, 0, wire.FMT_QUANT, 127.5)
+        _, rec = wire.decode_message(quant + bytes(range(255)), 255, bits=8)
+        npt.assert_array_equal(rec, np.arange(255) - 127.0)
+        for at in range(3):
+            body = bytearray([127, 127, 127])
+            body[at] = 255  # code 128, one past the top level
+            with pytest.raises(DecodeError, match="quant code out of range"):
+                wire.decode_message(quant + bytes(body), 3, bits=8)
+
     def test_compose_index_out_of_range(self):
         msg = self._compose_message(1, [9], [2.0])
         with pytest.raises(DecodeError):
@@ -186,6 +204,49 @@ class TestEncodeErrors:
         with pytest.raises(ConfigurationError, match="0x80"):
             wire.encode_message(0, 0, 0, body)
 
+    @staticmethod
+    def _quant(codes, bits=8, compose=False):
+        body = wire.WireBody(fmt=wire.FMT_QUANT, dim=len(codes), scale=1.0,
+                             codes=np.array(codes), bits=bits)
+        if compose:
+            body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=9, indices=np.arange(len(codes)),
+                                 inner=body)
+        return body
+
+    @pytest.mark.parametrize("compose", [False, True])
+    @pytest.mark.parametrize("code", [128, -128, 1000, -(2**40), -(2**63)])
+    def test_quant_code_outside_the_levels(self, code, compose):
+        # 128 is stored as 255, which the decoder rejects; 1000 would be
+        # truncated to its low 8 bits and decode as another value
+        with pytest.raises(ConfigurationError, match="quant code outside \\+-127 at 8 bits"):
+            wire.encode_message(0, 0, 0, self._quant([1, code, -3], compose=compose))
+        body = self._quant([1, 127, -127], compose=compose)  # the extreme levels travel
+        block = body.inner or body
+        _, rec = wire.decode_message(wire.encode_message(0, 0, 0, body), body.dim, 8, block.fmt)
+        npt.assert_array_equal(rec[:3], np.array([1, 127, -127]) * (2.0 / 255))
+
+    @pytest.mark.parametrize("compose", [False, True])
+    @pytest.mark.parametrize("bits", [0, 1, 17, 40])
+    def test_quant_width_outside_2_to_16(self, bits, compose):
+        with pytest.raises(ConfigurationError, match=f"quant bit width {bits} outside"):
+            wire.encode_message(0, 0, 0, self._quant([0, 1], bits=bits, compose=compose))
+
+    def test_quant_codes_must_fill_the_dimension(self):
+        # at 4 bits one code more still fits the last padded byte, and the
+        # decoder would drop it
+        body = wire.WireBody(fmt=wire.FMT_QUANT, dim=1, scale=1.0, codes=np.array([1, 2]), bits=4)
+        with pytest.raises(ConfigurationError, match="quant codes of shape \\(2,\\) for dimension 1"):
+            wire.encode_message(0, 0, 0, body)
+
+    @pytest.mark.parametrize("compose", [False, True])
+    @pytest.mark.parametrize("code", [300, 256, -1])
+    def test_natural_code_outside_a_byte(self, code, compose):
+        # 300 would wrap to byte 44, a value near 2^-20
+        body = wire.WireBody(fmt=wire.FMT_NATURAL, dim=2, codes=np.array([64, code]))
+        if compose:
+            body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=4, indices=np.array([0, 3]), inner=body)
+        with pytest.raises(ConfigurationError, match="natural code outside \\[0, 255\\]"):
+            wire.encode_message(0, 0, 0, body)
 
     def test_value_beyond_float32_range(self):
         # 1e39 would be written as float32 inf
@@ -225,6 +286,64 @@ class TestEncodeErrors:
                                  inner=wire.WireBody(fmt=wire.FMT_DENSE, dim=2, values=values))
         with pytest.raises(ConfigurationError, match=reason):
             wire.encode_message(0, 0, 0, body)
+
+
+def _pack_bits_loop(codes, bits):
+    """The codec's original bit-by-bit packer, kept as the oracle."""
+    out = bytearray((len(codes) * bits + 7) // 8)
+    pos = 0
+    for c in codes:
+        c = int(c)
+        for b in range(bits):
+            if (c >> b) & 1:
+                out[pos >> 3] |= 1 << (pos & 7)
+            pos += 1
+    return bytes(out)
+
+
+def _unpack_bits_loop(data, n, bits):
+    codes = np.zeros(n, dtype=np.int64)
+    pos = 0
+    for i in range(n):
+        c = 0
+        for b in range(bits):
+            if data[pos >> 3] & (1 << (pos & 7)):
+                c |= 1 << b
+            pos += 1
+        codes[i] = c
+    return codes
+
+
+@hs.composite
+def codes_and_bytes(draw):
+    """Codes of any width in [2, 16] (every stored value, not only the
+    ones a quantizer makes) and random bytes of the packed length, whose
+    padding bits may be set."""
+    bits, n = draw(hs.integers(2, 16)), draw(hs.integers(0, 300))
+    codes = draw(hs.lists(hs.integers(0, 2**bits - 1), min_size=n, max_size=n))
+    data = draw(hs.binary(min_size=(n * bits + 7) // 8, max_size=(n * bits + 7) // 8))
+    return np.array(codes, dtype=np.int64), bits, data
+
+
+class TestBitPacking:
+    @given(codes_and_bytes())
+    # n * bits not a multiple of 8, so the last byte is part padding
+    @example((np.array([5, 0, 7], dtype=np.int64), 3, b"\xff\xff"))
+    @example((np.array([2**13 - 1] * 7, dtype=np.int64), 13, b"\xa5" * 12))
+    # the widest codes, and none
+    @example((np.arange(0, 2**16 - 1, 6553, dtype=np.int64), 16, bytes(range(22))))
+    @example((np.zeros(0, dtype=np.int64), 9, b""))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_numpy_bits_match_the_bit_loops(self, case):
+        codes, bits, data = case
+        n = len(codes)
+        packed = wire._pack_bits(codes, bits)
+        assert packed == _pack_bits_loop(codes, bits)
+        assert len(packed) == (n * bits + 7) // 8
+        unpacked = wire._unpack_bits(packed, n, bits)
+        assert unpacked.dtype == np.int64
+        npt.assert_array_equal(unpacked, codes)
+        npt.assert_array_equal(wire._unpack_bits(data, n, bits), _unpack_bits_loop(data, n, bits))
 
 
 class TestTransferLedger:
