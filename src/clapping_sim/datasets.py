@@ -31,11 +31,6 @@ class LogisticDataset:
     features: np.ndarray  # (n, dim)
     labels: np.ndarray    # (n,) in {-1, +1}
     c_r: float
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
@@ -81,7 +76,7 @@ def gen_logistic_dataset(
     b0 = truth.standard_normal()
     margin = xi_star @ w0 + b0
     labels = np.where(margin >= 0.0, 1.0, -1.0)
-    return LogisticDataset(features=xi_star + eps, labels=labels, c_r=c_r, seed=seed)
+    return LogisticDataset(features=xi_star + eps, labels=labels, c_r=c_r)
 
 
 def _curvature_bound(x_rows: np.ndarray, c_r: float) -> float:

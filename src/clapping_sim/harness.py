@@ -200,12 +200,14 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
             raise ConfigurationError(f"model.boundaries: {exc}") from None
 
     batch = read("algo.batch_size", _int, 1, minimum=1)
+    opt_kind = read("optimizer.kind", default=MOMENTUM_SGD, allowed=(MOMENTUM_SGD, ADAM))
+    adam = {} if opt_kind != ADAM else dict(
+        beta2=read("optimizer.beta2", _float, 0.999), eps=read("optimizer.eps", _float, 1e-8))
     optimizer = OptimizerConfig(
-        kind=read("optimizer.kind", default=MOMENTUM_SGD, allowed=(MOMENTUM_SGD, ADAM)),
+        kind=opt_kind,
         gamma=read("optimizer.gamma", parse_schedule, Schedule.constant(0.1)),
         momentum=read("optimizer.momentum", parse_schedule, Schedule.constant(0.1)),
-        beta2=read("optimizer.beta2", _float, 0.999),
-        eps=read("optimizer.eps", _float, 1e-8),
+        **adam,
     )
 
     # one compressor per boundary per direction, with per-boundary overrides
@@ -380,24 +382,15 @@ def memory_calculator(
 # -- reference benchmark presets -------------------------------------------
 
 def logistic_benchmark_config(
-    variant: str,
-    total_steps: int = 200_000,
-    seed: int = 0,
-    n: int = 128,
-    dim: int = 200,
-    batch: int = 128,
-    p: float = 0.05,
-    log_every: int = 200,
-    noise_amplitude: float = 0.2,
-    output: str = "metrics.csv",
+    variant: str, total_steps: int = 200_000, seed: int = 0, log_every: int = 200,
 ) -> ExperimentConfig:
     """The noisy-boundary logistic benchmark: gamma starts at 0.1 and
     halves every 40k steps with the momentum buffer cleared at each
-    halving; uniform relative noise of the given amplitude is injected on
-    the forward boundary, the backward direction is exact.
+    halving; uniform relative noise of amplitude 0.2 is injected on the
+    forward boundary, the backward direction is exact.
 
-    The defaults put the run in the full-coverage batch regime (every
-    batch is a reshuffle of the whole 128-row dataset), so that the
+    The run is in the full-coverage batch regime (every batch of 128 is
+    a reshuffle of the whole 128-row dataset, 200 features), so that the
     baseline's gradient has no sampling noise and the final loss gaps
     isolate the compression error: direct compression and forward-only
     error feedback plateau, while error feedback with lazy sampling keeps
@@ -412,12 +405,12 @@ def logistic_benchmark_config(
     gamma = ",".join(f"{s}:{v}" for s, v in halvings)
     raw = {
         "dataset.kind": "synthetic_logistic",
-        "dataset.n": str(n),
-        "dataset.dim": str(dim),
+        "dataset.n": "128",
+        "dataset.dim": "200",
         "dataset.seed": "7",
         "dataset.c_r": "0.005",
         "algo.variant": variant,
-        "algo.batch_size": str(batch),
+        "algo.batch_size": "128",
         "algo.total_steps": str(total_steps),
         "algo.seed": str(seed),
         "algo.sampler_rule": BATCH_BATCHWISE,
@@ -425,10 +418,10 @@ def logistic_benchmark_config(
         "optimizer.gamma": gamma,
         "optimizer.momentum": "0.1",
         "optimizer.reset_steps": ",".join(str(r) for r in resets),
-        "sampling.p": repr(p),
-        "compressor.forward": f"inject_uniform:{noise_amplitude}",
+        "sampling.p": "0.05",
+        "compressor.forward": "inject_uniform:0.2",
         "compressor.backward": "identity",
         "run.log_every": str(log_every),
-        "run.output": output,
+        "run.output": "metrics.csv",
     }
     return config_from_mapping(raw)

@@ -3,9 +3,11 @@
 A model is a chain of stages y_e = a_e(y_{e-1}, w_e) ending in a scalar
 loss head. Each stage kind provides a forward map plus the two adjoint
 products needed by backpropagation: the input adjoint J_y^T v and the
-weight adjoint J_w^T v. All math is float64. Operations accept a single
-vector of shape (d,) or a batch of shape (B, d); the batch axis is
-carried through unchanged.
+weight adjoint J_w^T v. All math is float64. Every stage function
+treats a vector of shape (d,) as a one-row batch of shape (B, d): the
+batch axis is carried through unchanged, and a weight adjoint sums over
+the rows. A parametric stage's parameters are its matrix W, row-major
+(``matrix_rows`` x ``input_dim``), then its bias b if it has one.
 
 Stage kinds:
 
@@ -90,10 +92,17 @@ class StageSpec:
 _F64 = np.dtype(np.float64)
 
 
+def _float64(name: str, x) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ContractViolation(f"{name}: expected numbers, got {type(x).__name__}") from None
+
+
 def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
     if type(x) is np.ndarray and x.dtype is _F64 and x.ndim in (1, 2) and x.shape[-1] == dim:
         return x  # already what the conversion below would return
-    x = np.asarray(x, dtype=np.float64)
+    x = _float64(name, x)
     if x.ndim not in (1, 2) or x.shape[-1] != dim:
         raise ContractViolation(f"{name}: expected trailing dim {dim}, got shape {x.shape}")
     return x
@@ -102,7 +111,7 @@ def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
 def _check_params(x: np.ndarray, dim: int) -> np.ndarray:
     if type(x) is np.ndarray and x.dtype is _F64 and x.shape == (dim,):
         return x
-    x = np.asarray(x, dtype=np.float64)
+    x = _float64("w", x)
     if x.ndim != 1 or x.shape[0] != dim:
         raise ContractViolation(f"w: expected {dim} parameters, got shape {x.shape}")
     return x
@@ -115,22 +124,24 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
+def _matrix(stage: StageSpec, w: np.ndarray) -> np.ndarray:
+    """W: a (matrix_rows, input_dim) view of the first entries of ``w``."""
+    return w[: stage.matrix_rows * stage.input_dim].reshape(stage.matrix_rows, stage.input_dim)
+
+
 def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply a_e(y_in, w). Pure; returns an array of trailing dim output_dim."""
     y = _check_vec("y_in", y_in, stage.input_dim)
     w = _check_params(w, stage.param_dim)
-    if stage.kind == LINEAR:
-        mat = w.reshape(stage.matrix_rows, stage.input_dim)
-        if not stage.append_sq_norm:
-            return y @ mat.T
-        out = np.empty(y.shape[:-1] + (stage.output_dim,))  # the rows, then ||w||^2
-        np.matmul(y, mat.T, out=out[..., :-1])
-        out[..., -1] = w @ w
-        return out
-    if stage.kind == AFFINE_BIAS:
-        mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
-        out = y @ mat.T
-        out += w[stage.output_dim * stage.input_dim :]  # the bias
+    if stage.kind in (LINEAR, AFFINE_BIAS):  # param_dim is 0 for a linear stage of no rows
+        if stage.append_sq_norm:
+            out = np.empty(y.shape[:-1] + (stage.output_dim,))  # the rows, then ||w||^2
+            np.matmul(y, _matrix(stage, w).T, out=out[..., :-1])
+            out[..., -1] = w @ w
+            return out
+        out = y @ _matrix(stage, w).T
+        if stage.kind == AFFINE_BIAS:
+            out += w[stage.matrix_rows * stage.input_dim :]
         return out
     if stage.kind == TANH:
         return np.tanh(y)
@@ -151,12 +162,8 @@ def stage_backward_input(
     y = _check_vec("saved", saved, stage.input_dim)
     v = _check_vec("v_out", v_out, stage.output_dim)
     w = _check_params(w, stage.param_dim)
-    if stage.kind == LINEAR:
-        mat = w.reshape(stage.matrix_rows, stage.input_dim)
-        return v[..., : stage.matrix_rows] @ mat
-    if stage.kind == AFFINE_BIAS:
-        mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
-        return v @ mat
+    if stage.kind in (LINEAR, AFFINE_BIAS):  # an ||w||^2 output does not depend on y
+        return v[..., : stage.matrix_rows] @ _matrix(stage, w)
     if stage.kind == TANH:  # v * (1 - tanh^2), in one temporary
         d = np.square(y)
         np.subtract(1.0, d, out=d)
@@ -176,44 +183,25 @@ def stage_backward_weight(
     stage: StageSpec, y_in: np.ndarray, w: np.ndarray, v_out: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Adjoint with respect to the parameters: J_w(a_e)^T v_out.
-
-    For a batch input the per-sample weight gradients are summed; callers
-    average by batch size themselves. With ``out`` (a contiguous float64
-    vector of ``param_dim`` entries) the result is written there and
-    ``out`` is returned.
-    """
+    """Adjoint with respect to the parameters: J_w(a_e)^T v_out, summed
+    over the rows (callers average by batch size). With ``out`` (a
+    contiguous float64 vector of ``param_dim`` entries) the result is
+    written there and ``out`` is returned."""
     y = _check_vec("y_in", y_in, stage.input_dim)
     v = _check_vec("v_out", v_out, stage.output_dim)
-    if out is None:
-        out = np.empty(stage.param_dim)
+    w = _check_params(w, stage.param_dim)
+    out = np.empty(stage.param_dim) if out is None else out
     if stage.param_dim == 0:
         return out
-    w = _check_params(w, stage.param_dim)
-    batched = y.ndim == 2
-    if stage.kind == LINEAR:
-        rows = stage.matrix_rows
-        _outer_sum(v[..., :rows], y, batched, out.reshape(rows, stage.input_dim))
-        if stage.append_sq_norm:
-            v_sq = v[..., rows].sum() if batched else v[..., rows]
-            out += 2.0 * float(v_sq) * w
-        return out
-    # affine_bias
-    n_mat = stage.output_dim * stage.input_dim
-    _outer_sum(v, y, batched, out[:n_mat].reshape(stage.output_dim, stage.input_dim))
-    if batched:
-        v.sum(axis=0, out=out[n_mat:])
-    else:
-        out[n_mat:] = v
+    if y.ndim == 1:  # a one-row batch
+        y, v = y[None], v[None]
+    rows = stage.matrix_rows
+    np.matmul(v[:, :rows].T, y, out=_matrix(stage, out))  # sum over rows of outer(v, y)
+    if stage.append_sq_norm:
+        out += 2.0 * float(v[:, rows].sum()) * w
+    elif stage.kind == AFFINE_BIAS:
+        v.sum(axis=0, out=out[rows * stage.input_dim :])
     return out
-
-
-def _outer_sum(v: np.ndarray, y: np.ndarray, batched: bool, out: np.ndarray) -> None:
-    """out <- sum over the batch of outer(v, y)."""
-    if batched:
-        np.matmul(v.T, y, out=out)
-    else:
-        np.outer(v, y, out=out)
 
 
 @dataclass(frozen=True)

@@ -290,7 +290,6 @@ def check_error_propagation(
     fwd_specs: tuple[comp.CompressorSpec, ...],
     bwd_specs: tuple[comp.CompressorSpec, ...],
     trials: int = 100,
-    tol_factor: float = 1e-9,
     seed: int = 0,
 ) -> CheckReport:
     """One compressed forward/backward pass against an uncompressed
@@ -355,10 +354,11 @@ def check_error_propagation(
         bwd_err = {e: float(np.sum((v_tilde[e] - v_pre[e]) ** 2)) for e in range(1, E)}
 
         atol = 1e-18  # absorbs rounding when both sides are exactly zero in theory
+        slack = 1.0 + 1e-9  # relative, for rounding in the bound's own sums
         for e in range(1, E):
             lhs = float(np.sum((y_tilde[e] - y_hat[e]) ** 2))
             rhs = sum(2.0 * (2.0 * l_a**2) ** (e - i) * fwd_err[i] for i in range(1, e + 1))
-            report.see(lhs - rhs * (1.0 + tol_factor) - atol,
+            report.see(lhs - rhs * slack - atol,
                        f"forward boundary {e}, trial {trial}: lhs={lhs:.3e} rhs={rhs:.3e}")
 
         for e in range(1, E):
@@ -369,7 +369,7 @@ def check_error_propagation(
                 for i in range(1, E)
                 for s in range(max(e, i), E)
             )
-            report.see(lhs - rhs * (1.0 + tol_factor) - atol,
+            report.see(lhs - rhs * slack - atol,
                        f"backward boundary {e}, trial {trial}: lhs={lhs:.3e} rhs={rhs:.3e}")
     return report
 
@@ -377,11 +377,9 @@ def check_error_propagation(
 # -- sampler statistics -------------------------------------------------------
 
 
-def check_sampler_stats(
-    p: float, steps: int = 10_000, tol_sigmas: float = 3.0, seed: int = 0
-) -> CheckReport:
+def check_sampler_stats(p: float, steps: int = 10_000, seed: int = 0) -> CheckReport:
     """Empirical refresh frequency after the forced first draw must sit
-    within tol_sigmas binomial standard errors of p."""
+    within three binomial standard errors of p."""
     if steps < 1000:
         raise ConfigurationError("need at least 1000 steps for stable statistics")
     rng = named_stream(seed, "verify/sampler")
@@ -394,7 +392,7 @@ def check_sampler_stats(
             fresh += int(f_fu)
     freq = fresh / steps
     sigma = float(np.sqrt(max(p * (1 - p), 1e-12) / steps))
-    dev = abs(freq - p) - tol_sigmas * sigma
+    dev = abs(freq - p) - 3.0 * sigma
     return CheckReport("sampler-stats", steps, dev, 0.0,
                        [f"p={p} observed={freq:.4f} sigma={sigma:.5f}"])
 

@@ -15,7 +15,7 @@ Body by format tag:
            used by top-k and rand-k
   QUANT    float32 scale + ceil(d*bits/8) bytes: code + 2^(bits-1) - 1 in bits
            bits each, LSB first, little-endian within each byte, zero-padded;
-           bits in [2, 16], codes within +-(2^(bits-1) - 1)
+           bits in [2, 16], whole codes within +-(2^(bits-1) - 1)
   NATURAL  d bytes, each 1 sign bit (high) + 7-bit exponent offset
            (exponent+64 in [1,127]; 0 is the value zero; 0x80 is invalid)
   COMPOSE  u32 nonzero count + count x u32 indices (strictly ascending) + the
@@ -147,6 +147,17 @@ def _float32(values) -> np.ndarray:
     return out
 
 
+def _whole_codes(codes, fmt_name: str) -> np.ndarray:
+    """``codes`` as an array, refusing a code that is not a whole number;
+    an integer array passes on its dtype alone."""
+    codes = np.asarray(codes)
+    if codes.dtype.kind not in "biu":
+        whole = np.isfinite(codes) & (np.trunc(codes) == codes)
+        if not whole.all():
+            raise ConfigurationError(f"{fmt_name} code {codes[~whole][0]} is not a whole number")
+    return codes
+
+
 def _check_decoded_indices(idx: np.ndarray, dim: int, fmt_name: str) -> None:
     if (idx[1:] <= idx[:-1]).any():
         raise DecodeError(f"{fmt_name} indices not strictly ascending")
@@ -166,14 +177,15 @@ def _encode_body(body: WireBody) -> bytes:
         if body.bits not in QUANT_BITS:
             raise ConfigurationError(f"quant bit width {body.bits} outside {QUANT_WIDTHS}")
         half = (1 << (body.bits - 1)) - 1
-        codes = np.asarray(body.codes, dtype=np.int64)
+        codes = _whole_codes(body.codes, "quant")
         if ((codes < -half) | (codes > half)).any():  # np.abs would wrap at int64's minimum
             raise ConfigurationError(f"quant code outside +-{half} at {body.bits} bits")
         if codes.shape != (body.dim,):  # a surplus code could share the last padded byte
             raise ConfigurationError(f"quant codes of shape {codes.shape} for dimension {body.dim}")
-        return _float32([body.scale]).tobytes() + _pack_bits(codes + half, body.bits)
+        codes = codes.astype(np.int64, copy=False) + half
+        return _float32([body.scale]).tobytes() + _pack_bits(codes, body.bits)
     if body.fmt == FMT_NATURAL:
-        codes = np.asarray(body.codes)
+        codes = _whole_codes(body.codes, "natural")
         if codes.dtype != np.uint8 and ((codes < 0) | (codes > 255)).any():
             raise ConfigurationError("natural code outside [0, 255]")
         codes = codes.astype(np.uint8, copy=False)

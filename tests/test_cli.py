@@ -115,6 +115,8 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
     ("algo.variant = no_comp\noptimizer.gamma = nan", [], "optimizer.gamma"),
     ("algo.variant = no_comp\noptimizer.gamma = inf", [], "optimizer.gamma"),
     ("algo.variant = no_comp\noptimizer.momentum = 2", [], "optimizer.momentum"),
+    ("algo.variant = no_comp\noptimizer.beta2 = 5", [], "optimizer.beta2: unknown or unused key"),
+    ("algo.variant = no_comp\noptimizer.eps = -3", [], "optimizer.eps: unknown or unused key"),
     ("algo.variant = no_comp\ncompressor.forward = topk:500", [], "boundary 0 forward"),
     ("algo.variant = no_comp\ncompressor.forward = identity:5", [], "compressor.forward"),
     ("algo.variant = no_comp\ncompressor.backward = natural:9", [], "compressor.backward"),

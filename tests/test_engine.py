@@ -696,6 +696,34 @@ class TestMisc:
             PipelineEngine(chain, make_config(NO_COMP, chain), X,
                            init_weights=(init * 2)[:entries])
 
+    @pytest.mark.parametrize("case, message", [
+        ("one worker", "pipeline needs at least 2 workers"),
+        ("stream width", "stream dim does not match the chain input"),
+        ("1-d inputs", "inputs must be \\(n, input_dim\\)"),
+        ("inputs width", "inputs must be \\(n, input_dim\\)"),
+        ("no rows", "empty dataset"),
+        ("worker 1 parameters", "worker 1 expects 7 parameters"),
+        ("worker 2 parameters", "worker 2 expects 0 parameters"),
+    ])
+    def test_build_refuses(self, logistic_setup, case, message):
+        chain, X, init = logistic_setup
+        init = list(init)
+        if case == "one worker":
+            chain = st.ModelChain(chain.stages)
+        elif case == "stream width":
+            X = StreamingInputs(dim=6, draw=lambda rng, k: rng.standard_normal((k, 6)))
+        elif case == "1-d inputs":
+            X = X[0]
+        elif case == "inputs width":
+            X = X[:, :6]
+        elif case == "no rows":
+            X = X[:0]
+        else:
+            e = int(case.split()[1])
+            init[e - 1] = np.zeros(len(init[e - 1]) + 1)
+        with pytest.raises(ConfigurationError, match=message):
+            PipelineEngine(chain, make_config(NO_COMP, chain), X, init_weights=init)
+
     def test_wrong_compressor_count_rejected(self, logistic_setup):
         chain, X, _ = logistic_setup
         cfg = make_config(NO_COMP, chain)

@@ -103,6 +103,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}: unknown or unused key"):
             H.config_from_mapping(raw)
 
+    @pytest.mark.parametrize("key, value", [("optimizer.beta2", "5"), ("optimizer.eps", "-3"),
+                                            ("optimizer.beta2", "0.9")])
+    def test_adam_only_keys_are_unknown_under_momentum_sgd(self, key, value):
+        raw = {"algo.variant": "no_comp", key: value}
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}: unknown or unused key"):
+            H.config_from_mapping(raw)
+        raw["optimizer.kind"] = "adam"
+        if value == "0.9":
+            assert H.config_from_mapping(raw).algo.optimizer.beta2 == 0.9
+        else:
+            with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}: must be"):
+                H.config_from_mapping(raw)
+
 
 class TestReadme:
     def test_config_example_reads_without_unknown_keys(self):
@@ -117,6 +130,8 @@ class TestReadme:
             base = {"algo.variant": "no_comp"}
             if key.startswith("model."):
                 base["dataset.kind"] = "synthetic_mlp"
+            if key in ("optimizer.beta2", "optimizer.eps"):
+                base["optimizer.kind"] = "adam"
             assert H.config_from_mapping({**base, key: default}) == H.config_from_mapping(base), key
 
 

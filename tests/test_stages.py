@@ -169,6 +169,30 @@ class TestChecks:
             with pytest.raises(ContractViolation):
                 call(tanh, *args)
 
+    def test_the_weight_adjoint_checks_w_before_a_stage_without_parameters_returns(self):
+        tanh = st.StageSpec(st.TANH, 3, 3)
+        with pytest.raises(ContractViolation, match="w: expected 0 parameters"):
+            st.stage_backward_weight(tanh, np.ones(3), np.ones(2), np.ones(3))
+        with pytest.raises(ContractViolation, match="w: expected numbers, got str"):
+            st.stage_backward_weight(tanh, np.ones(3), "junk", np.ones(3))
+
+    @pytest.mark.parametrize("stage", [st.StageSpec(st.TANH, 3, 3), LINEAR_3_2],
+                             ids=["tanh", "linear"])
+    @pytest.mark.parametrize("arg, bad", [(0, "abc"), (1, "junk"), (2, [[1.0], [1.0, 2.0]]),
+                                          (0, {}), (1, object())],
+                             ids=["y-str", "w-str", "v-ragged", "y-dict", "w-object"])
+    def test_an_argument_that_is_not_numeric(self, stage, arg, bad):
+        good = [np.ones(3), np.ones(stage.param_dim), np.ones(stage.output_dim)]
+        calls = {st.stage_forward: ("y_in", "w"), st.stage_backward_input: ("saved", "w", "v_out"),
+                 st.stage_backward_weight: ("y_in", "w", "v_out")}
+        for call, names in calls.items():
+            if arg >= len(names):
+                continue
+            args = good[: len(names)]
+            args[arg] = bad
+            with pytest.raises(ContractViolation, match=f"^{names[arg]}: expected numbers, got "):
+                call(stage, *args)
+
     def test_a_chain_refuses_parameters_for_its_tanh_stage(self):
         chain = st.tanh_mlp_chain((3, 4), (2,))
         x = np.ones((2, 3))
@@ -515,3 +539,98 @@ class TestModelChain:
         X = rng.standard_normal((6, 4))
         per_row = [st.chain_loss(chain, X[i], w_all) for i in range(6)]
         npt.assert_allclose(st.chain_loss(chain, X, w_all), np.mean(per_row), rtol=1e-14)
+
+
+# The linear and affine stage math before it shared one matrix view and
+# one weight-adjoint formula, kept as the oracle for the stage functions.
+def oracle_forward(stage, y, w):
+    if stage.kind == st.LINEAR:
+        mat = w.reshape(stage.matrix_rows, stage.input_dim)
+        if not stage.append_sq_norm:
+            return y @ mat.T
+        out = np.empty(y.shape[:-1] + (stage.output_dim,))
+        np.matmul(y, mat.T, out=out[..., :-1])
+        out[..., -1] = w @ w
+        return out
+    mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
+    out = y @ mat.T
+    out += w[stage.output_dim * stage.input_dim :]
+    return out
+
+
+def oracle_backward_input(stage, y, w, v):
+    if stage.kind == st.LINEAR:
+        mat = w.reshape(stage.matrix_rows, stage.input_dim)
+        return v[..., : stage.matrix_rows] @ mat
+    mat = w[: stage.output_dim * stage.input_dim].reshape(stage.output_dim, stage.input_dim)
+    return v @ mat
+
+
+def oracle_outer_sum(v, y, batched, out):
+    if batched:
+        np.matmul(v.T, y, out=out)
+    else:
+        np.outer(v, y, out=out)
+
+
+def oracle_backward_weight(stage, y, w, v):
+    out = np.empty(stage.param_dim)
+    batched = y.ndim == 2
+    if stage.kind == st.LINEAR:
+        rows = stage.matrix_rows
+        oracle_outer_sum(v[..., :rows], y, batched, out.reshape(rows, stage.input_dim))
+        if stage.append_sq_norm:
+            v_sq = v[..., rows].sum() if batched else v[..., rows]
+            out += 2.0 * float(v_sq) * w
+        return out
+    n_mat = stage.output_dim * stage.input_dim
+    oracle_outer_sum(v, y, batched, out[:n_mat].reshape(stage.output_dim, stage.input_dim))
+    if batched:
+        v.sum(axis=0, out=out[n_mat:])
+    else:
+        out[n_mat:] = v
+    return out
+
+
+PARAMETRIC = {"linear": (st.LINEAR, {}), "linear+sq_norm": (st.LINEAR, {"append_sq_norm": True}),
+              "affine": (st.AFFINE_BIAS, {})}
+
+
+def signed_magnitudes(rng, shape):
+    """Values of either sign with magnitudes from 1e-3 to 1e3, never zero."""
+    return rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-3.0, 3.0, size=shape)
+
+
+class TestParametricStagesMatchTheOracle:
+    @given(hs.sampled_from(sorted(PARAMETRIC)), hs.integers(1, 6), hs.integers(0, 6),
+           hs.one_of(hs.none(), hs.integers(1, 39)), hs.integers(0, 2**32 - 1))
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_all_three_functions_byte_for_byte(self, kind, d_in, rows, batch, seed):
+        name, extra = PARAMETRIC[kind]
+        # a linear stage may have no matrix rows and only its ||w||^2 output
+        stage = st.StageSpec(name, d_in, rows + 1 if extra else max(rows, 1), extra)
+        rng = np.random.default_rng(seed)
+        rows = () if batch is None else (batch,)
+        y = signed_magnitudes(rng, rows + (d_in,))
+        w = signed_magnitudes(rng, (stage.param_dim,))
+        v = signed_magnitudes(rng, rows + (stage.output_dim,))
+        assert same_bits(st.stage_forward(stage, y, w), oracle_forward(stage, y, w))
+        assert same_bits(st.stage_backward_input(stage, y, w, v),
+                         oracle_backward_input(stage, y, w, v))
+        assert same_bits(st.stage_backward_weight(stage, y, w, v),
+                         oracle_backward_weight(stage, y, w, v))
+
+    @pytest.mark.parametrize("kind", sorted(PARAMETRIC))
+    def test_a_vector_is_a_one_row_batch_down_to_the_sign_of_zero(self, kind):
+        """With zeros in the input, np.outer keeps a -0.0 product that the
+        one-row matmul, like every batch, sums to +0.0: the same value."""
+        name, extra = PARAMETRIC[kind]
+        stage = st.StageSpec(name, 3, 2 + bool(extra), extra)
+        y = np.array([0.0, -0.0, 2.0])
+        v = np.array([-1.0, 0.0, -0.0][: stage.output_dim])
+        w = np.arange(1.0, stage.param_dim + 1.0)
+        got = st.stage_backward_weight(stage, y, w, v)
+        assert same_bits(got, st.stage_backward_weight(stage, y[None], w, v[None]))
+        want = oracle_backward_weight(stage, y, w, v)
+        assert np.array_equal(got, want)
+        assert np.signbit(want).any() and same_bits(got, want + 0.0)

@@ -150,6 +150,16 @@ class TestSuiteRunner:
         with pytest.raises(ConfigurationError):
             vf.run_suite("nope")
 
+    @pytest.mark.parametrize("name, suites", [
+        ("contraction", ["contraction"]),
+        ("all", ["chain-gradients", "contraction"] + ["ef-decay"] * 4 + ["identity-equivalence"]
+         + ["error-propagation"] * 2 + ["sampler-stats"] * 2),
+    ])
+    def test_named_suite_runs_and_passes(self, name, suites):
+        reports = vf.run_suite(name, seed=0)
+        assert [r.suite for r in reports] == suites
+        assert all(r.passed for r in reports)
+
     def test_reports_written_to_disk(self, tmp_path):
         reports = vf.run_suite("sampler", seed=0, out_dir=tmp_path)
         files = list(tmp_path.glob("*.json"))

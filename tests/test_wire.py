@@ -123,6 +123,18 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             wire.decode_message(bytes(msg), 2)
 
+    @pytest.mark.parametrize("tag, body, reason", [
+        (wire.FMT_QUANT, bytes(4 + 3), "quant body length mismatch"),  # 4 codes need 4 bytes
+        (wire.FMT_SPARSE, bytes(12), "sparse body length mismatch"),
+        (wire.FMT_NATURAL, bytes([64] * 5), "natural body length mismatch"),
+        (wire.FMT_COMPOSE, bytes(3), "compose body too short"),
+        (9, bytes(16), "unknown format tag 9"),
+    ], ids=["quant", "sparse", "natural", "compose", "tag"])
+    def test_body_the_decoder_cannot_read(self, tag, body, reason):
+        msg = struct.pack("<IHBB", 0, 0, 0, tag) + body
+        with pytest.raises(DecodeError, match=f"^{reason}$"):
+            wire.decode_message(msg, 4, 8)
+
     def _compose_message(self, count, indices, values):
         body = struct.pack(f"<I{len(indices)}I", count, *indices)
         body += np.asarray(values, dtype="<f4").tobytes()
@@ -196,6 +208,12 @@ class TestEncodeErrors:
         with pytest.raises(ConfigurationError, match="direction 7"):
             wire.encode_message(0, 0, 7, body)
 
+    def test_body_that_does_not_match_its_size_formula(self):
+        body = wire.WireBody(fmt=wire.FMT_DENSE, dim=2, values=np.ones(3))
+        with pytest.raises(ConfigurationError,
+                           match="^encoded body does not match its size formula$"):
+            wire.encode_message(0, 0, 0, body)
+
     @pytest.mark.parametrize("compose", [False, True])
     def test_natural_byte_0x80(self, compose):
         body = wire.WireBody(fmt=wire.FMT_NATURAL, dim=2, codes=np.array([64, 0x80]))
@@ -247,6 +265,31 @@ class TestEncodeErrors:
             body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=4, indices=np.array([0, 3]), inner=body)
         with pytest.raises(ConfigurationError, match="natural code outside \\[0, 255\\]"):
             wire.encode_message(0, 0, 0, body)
+
+    @pytest.mark.parametrize("compose", [False, True])
+    @pytest.mark.parametrize("fmt, codes, bad", [
+        (wire.FMT_QUANT, [1.5, -2.7], "1.5"), (wire.FMT_QUANT, [1.0, -2.7], "-2.7"),
+        (wire.FMT_QUANT, [1.0, np.nan], "nan"), (wire.FMT_QUANT, [np.inf, 1.0], "inf"),
+        (wire.FMT_NATURAL, [64.9, 65.5], "64.9"), (wire.FMT_NATURAL, [64.0, -np.inf], "-inf"),
+    ])
+    def test_a_code_that_is_not_a_whole_number(self, fmt, codes, bad, compose):
+        # truncated, [1.5, -2.7] would travel as quant codes [1, -2] and
+        # [64.9, 65.5] as natural bytes that decode to [1.0, 2.0]
+        body = wire.WireBody(fmt=fmt, dim=2, scale=1.0, codes=np.array(codes), bits=8)
+        if compose:
+            body = wire.WireBody(fmt=wire.FMT_COMPOSE, dim=4, indices=np.array([0, 3]), inner=body)
+        name = "quant" if fmt == wire.FMT_QUANT else "natural"
+        with pytest.raises(ConfigurationError, match=f"{name} code {bad} is not a whole number"):
+            wire.encode_message(0, 0, 0, body)
+
+    def test_whole_float_codes_travel_as_their_integers(self):
+        quant = wire.WireBody(fmt=wire.FMT_QUANT, dim=2, scale=1.0, codes=np.array([65.0, -2.0]),
+                              bits=8)
+        _, rec = wire.decode_message(wire.encode_message(0, 0, 0, quant), 2, 8)
+        npt.assert_array_equal(rec, np.array([65, -2]) * (2.0 / 255))
+        natural = wire.WireBody(fmt=wire.FMT_NATURAL, dim=2, codes=np.array([65.0, 0.0]))
+        _, rec = wire.decode_message(wire.encode_message(0, 0, 0, natural), 2)
+        npt.assert_array_equal(rec, [2.0, 0.0])
 
     def test_value_beyond_float32_range(self):
         # 1e39 would be written as float32 inf
