@@ -2,10 +2,11 @@
 
 Each compressor maps a vector x to a reconstruction C(x) the receiving
 worker decodes, together with the exact byte size of the message that
-would carry it. One pass over the rows makes both the reconstruction and
-the fields of its wire body; compress is the one-row case of
-compress_batch, with the same stream draws. Deterministic kinds ignore
-the rng handle and are pure.
+would carry it. The engine sends every message through compress_batch;
+a dense link is identity compression. One pass over the rows makes both
+the reconstruction and the fields of its wire body; compress is the
+one-row case of compress_batch, with the same stream draws.
+Deterministic kinds ignore the rng handle and are pure.
 
 Kinds and their documented contraction factors (omega^2 bounds the worst
 case of E||x - C(x)||^2 / ||x||^2):
@@ -56,7 +57,7 @@ INJECT_UNIFORM = "inject_uniform"
 KINDS = (IDENTITY, TOPK, RANDK, UNIFORM_QUANT, NATURAL, COMPOSE, INJECT_UNIFORM)
 STOCHASTIC_KINDS = (RANDK, INJECT_UNIFORM)
 
-# wire format of each kind's message body (see _wire_format for compose)
+# wire format of each kind's message body (a composed body is FMT_COMPOSE)
 _FORMATS = {
     IDENTITY: wire.FMT_DENSE,
     INJECT_UNIFORM: wire.FMT_DENSE,
@@ -72,6 +73,12 @@ NATURAL_EXP_MAX = 63
 
 @dataclass(frozen=True)
 class CompressorSpec:
+    """One compressor. A built spec also carries whether it is
+    ``stochastic`` and its bodies' wire format, fixed once as ``wire.sizes``
+    takes it: ``fmt``, ``wire_bits`` and ``value_fmt``. A composed body
+    carries the last member's values in that member's format, or dense
+    after a sparse member (the indices are already sent)."""
+
     kind: str
     k: int = 0
     bits: int = 0
@@ -92,12 +99,14 @@ class CompressorSpec:
                 raise ConfigurationError("compose members must not nest")
         if self.kind == INJECT_UNIFORM and self.amplitude <= 0:
             raise ConfigurationError("inject_uniform needs a positive amplitude")
-
-    @property
-    def stochastic(self) -> bool:
-        if self.kind == COMPOSE:
-            return any(m.stochastic for m in self.inner)
-        return self.kind in STOCHASTIC_KINDS
+        composed = self.kind == COMPOSE
+        members = self.inner if composed else (self,)
+        last = _FORMATS[members[-1].kind]
+        object.__setattr__(self, "fmt", wire.FMT_COMPOSE if composed else last)
+        object.__setattr__(self, "wire_bits", members[-1].bits)
+        object.__setattr__(self, "value_fmt",
+                           last if composed and last != wire.FMT_SPARSE else wire.FMT_DENSE)
+        object.__setattr__(self, "stochastic", any(m.kind in STOCHASTIC_KINDS for m in members))
 
 
 @dataclass(frozen=True)
@@ -182,17 +191,6 @@ def _randk_rows(x: np.ndarray, k: int, rng) -> np.ndarray:
     return mask
 
 
-def _wire_format(spec: CompressorSpec) -> tuple[int, int, int]:
-    """(format tag, quant bits, compose value-block tag) of a spec's bodies.
-    A composed body carries the last member's values in that member's
-    format, or dense after a sparse member (the indices are already sent)."""
-    if spec.kind != COMPOSE:
-        return _FORMATS[spec.kind], spec.bits, wire.FMT_DENSE
-    last = spec.inner[-1]
-    inner = _FORMATS[last.kind]
-    return wire.FMT_COMPOSE, last.bits, wire.FMT_DENSE if inner == wire.FMT_SPARSE else inner
-
-
 def _quant_rows(x: np.ndarray, bits: int):
     """Returns (reconstruction, float32 scales, integer codes)."""
     levels_half = (1 << (bits - 1)) - 1
@@ -270,20 +268,19 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
         raise ContractViolation("compress takes a single vector; use compress_batch for rows")
     recon, fields = _compress_rows(spec, x[None], rng)
     recon, fields = recon[0], [f[0] for f in fields]
-    fmt, bits, inner = _wire_format(spec)
-    if fmt == wire.FMT_SPARSE:
+    if spec.fmt == wire.FMT_SPARSE:
         # the sparse body always carries exactly the k selected entries;
         # selected entries that happen to be zero-valued still occupy a slot
         idx = np.flatnonzero(fields[0])
-        body = wire.WireBody(fmt=fmt, dim=len(x), indices=idx, values=recon[idx])
-    elif fmt == wire.FMT_COMPOSE:
+        body = wire.WireBody(fmt=spec.fmt, dim=len(x), indices=idx, values=recon[idx])
+    elif spec.fmt == wire.FMT_COMPOSE:
         # indices of the surviving support + the last member's value block
         # at them; the quant scale stands, as its largest magnitude survives
         idx = np.flatnonzero(recon)
-        body = wire.WireBody(fmt=fmt, dim=len(x), indices=idx,
-                             inner=_value_block(inner, bits, recon, fields, idx))
+        body = wire.WireBody(fmt=spec.fmt, dim=len(x), indices=idx,
+                             inner=_value_block(spec.value_fmt, spec.wire_bits, recon, fields, idx))
     else:
-        body = _value_block(fmt, bits, recon, fields, slice(None))
+        body = _value_block(spec.fmt, spec.wire_bits, recon, fields, slice(None))
     return CompressedPayload(
         reconstruction=recon,
         encoded_bytes=wire.body_size(body),
@@ -303,12 +300,11 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None):
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
     recon, _ = _compress_rows(spec, x, rng)
-    fmt, bits, inner = _wire_format(spec)
-    if fmt == wire.FMT_COMPOSE:
-        payload, values = wire.sizes(fmt, x.shape[1], np.count_nonzero(recon, axis=-1), bits,
-                                     inner)
+    if spec.fmt == wire.FMT_COMPOSE:
+        payload, values = wire.sizes(spec.fmt, x.shape[1], np.count_nonzero(recon, axis=-1),
+                                     spec.wire_bits, spec.value_fmt)
         return recon, int(payload.sum()), int(values.sum())
-    payload, values = wire.sizes(fmt, x.shape[1], spec.k, bits)
+    payload, values = wire.sizes(spec.fmt, x.shape[1], spec.k, spec.wire_bits)
     return recon, payload * x.shape[0], values * x.shape[0]
 
 

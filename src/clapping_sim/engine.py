@@ -13,17 +13,19 @@ fetches only the rows a step refreshes, from the dataset or the stream.
 
 Each boundary and direction is one ``Link``, bound at init to its
 mode's send function. Where its mode reads a cache, the link holds one
-array for both endpoints' identical copies. A non-finite message, or a
-finite one its compressor cannot encode, raises ``DivergenceError``
-naming the step, boundary and sender; each message is scanned once.
+array for both endpoints' identical copies. Every message goes through
+``compressors.compress_batch``, whose input check is its one scan: a
+non-finite message, or a finite one its compressor cannot encode, raises
+``DivergenceError`` naming the step, boundary and sender.
 
 The variants differ only in what each boundary sends in each direction.
 ``VARIANT_POLICY`` gives each one a mode per direction, whether it samples
 lazily (reusing the previous batch with probability 1 - p_t) and whether
 rows drawn fresh this step travel dense. The modes: ``dense`` sends the
-values; ``direct`` sends C(x); ``ef`` sends C(x - cache) and both
-endpoints set cache <- cache + C(x - cache); ``per_sample_ef`` does the
-same against one cache entry per dataset row instead of per batch row.
+values, as identity compression; ``direct`` sends C(x); ``ef`` sends
+C(x - cache) and both endpoints set cache <- cache + C(x - cache);
+``per_sample_ef`` does the same against one cache entry per dataset row
+instead of per batch row.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ MODE_EF = "ef"
 MODE_PER_SAMPLE_EF = "per_sample_ef"
 
 _DIRECTIONS = ("forward", "backward")  # by wire.FORWARD and wire.BACKWARD
+_DENSE = comp.identity_spec()  # a dense send is identity compression
 
 
 class VariantPolicy(NamedTuple):
@@ -196,6 +199,8 @@ class PipelineEngine:
             comp.check_width(spec, dim, f"boundary {i} {_DIRECTIONS[direction]}")
             stream = f"compressor/{('fwd', 'bwd')[direction]}/{i}"
             mode = self.policy[direction]  # VariantPolicy starts (forward, backward)
+            if mode == MODE_DENSE:  # sent direct, by identity compression
+                mode, spec = MODE_DIRECT, _DENSE
             rows = {MODE_EF: self.B, MODE_PER_SAMPLE_EF: n_samples}.get(mode)
             send = (_send_ef_fresh_dense if mode == MODE_EF and self.policy.fresh_rows_dense
                     else _SEND[mode])
@@ -349,21 +354,7 @@ class PipelineEngine:
 
 
 # Send functions, one per mode: (link, x, fresh_rows, sample_idx) ->
-# (reconstruction, payload bytes, value bytes). A non-finite x raises
-# ContractViolation, from compress_batch's input check or, for rows no
-# compressor sees, from _dense_bytes.
-
-def _dense_bytes(x: np.ndarray) -> int:
-    """Bytes of x's rows sent dense, after the scan no compressor makes for them."""
-    if not np.isfinite(x).all():
-        raise ContractViolation("non-finite message")
-    return wire.sizes(wire.FMT_DENSE, x.shape[1])[0] * len(x)
-
-
-def _send_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):
-    nbytes = _dense_bytes(x)
-    return x.copy(), nbytes, nbytes
-
+# (reconstruction, payload bytes, value bytes).
 
 def _send_ef(link: Link, x: np.ndarray, fresh_rows, sample_idx, rows=slice(None)):
     """Error feedback on the cache's ``rows``: both endpoints set
@@ -378,10 +369,12 @@ def _send_ef_fresh_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):
     """``ef``, except that the rows drawn fresh this step travel dense."""
     if not fresh_rows.any():
         return _send_ef(link, x, fresh_rows, sample_idx)
-    nbytes = value_bytes = _dense_bytes(x[fresh_rows])
-    recon = x.copy()
     stale = ~fresh_rows
-    if stale.any():
+    if not stale.any():  # a whole batch drawn fresh: no row gathers
+        recon, nbytes, value_bytes = comp.compress_batch(_DENSE, x)
+    else:
+        recon = np.empty_like(x)
+        recon[fresh_rows], nbytes, value_bytes = comp.compress_batch(_DENSE, x[fresh_rows])
         recon[stale], nb, vb = _send_ef(link, x[stale], None, None, rows=stale)
         nbytes, value_bytes = nbytes + nb, value_bytes + vb
     link.cache[:] = recon
@@ -389,7 +382,6 @@ def _send_ef_fresh_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):
 
 
 _SEND = {
-    MODE_DENSE: _send_dense,
     MODE_DIRECT: lambda link, x, *_: comp.compress_batch(link.spec, x, link.rng),
     MODE_EF: _send_ef,
     MODE_PER_SAMPLE_EF: lambda link, x, fresh_rows, idx: _send_ef(link, x, fresh_rows, idx, idx),

@@ -164,6 +164,13 @@ class ExperimentConfig:
 
 
 _MODEL_OF_DATASET = {"synthetic_logistic": "logistic", "synthetic_mlp": "tanh_mlp"}
+# keys read only under another setting: the unused-key error names that setting
+_READ_ONLY_WHEN = {
+    **dict.fromkeys(("optimizer.beta2", "optimizer.eps"), f"optimizer.kind = {ADAM}"),
+    **dict.fromkeys(("model.dims", "model.boundaries"), "dataset.kind = synthetic_mlp"),
+    **dict.fromkeys(("dataset.dim", "dataset.feature_scale", "dataset.noise_scale", "dataset.c_r",
+                     "dataset.second_param_is_std"), "dataset.kind = synthetic_logistic"),
+}
 
 
 def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
@@ -265,7 +272,8 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
     for key in raw:
         if key not in asked:
             close = difflib.get_close_matches(key, asked, n=1)
-            hint = f"; did you mean {close[0]}?" if close else ""
+            hint = (f"; read only when {_READ_ONLY_WHEN[key]}" if key in _READ_ONLY_WHEN
+                    else f"; did you mean {close[0]}?" if close else "")
             raise ConfigurationError(f"{key}: unknown or unused key{hint}")
     return cfg
 

@@ -78,6 +78,9 @@ class SamplerState:
             raise ConfigurationError("batch_size must be >= 1")
         if self.n_samples < 0:
             raise ConfigurationError("n_samples must be >= 0")
+        if self.rule == BATCH_BATCHWISE and self.batch_size > self.n_samples > 0:
+            raise ConfigurationError(f"batch size {self.batch_size} exceeds the "
+                                     f"{self.n_samples}-sample dataset")
         for start, p in self.p_schedule.table:
             if not 0.0 <= p <= 1.0:
                 raise ConfigurationError(f"p_t must be in [0, 1], got {p} from step {start}")
@@ -94,10 +97,6 @@ class SamplerState:
             self.draws += size
             return out
         if self.rule == BATCH_BATCHWISE and size > 1:
-            if size > self.n_samples:
-                raise ConfigurationError(
-                    f"batch size {size} exceeds the {self.n_samples}-sample dataset"
-                )
             return rng.permutation(self.n_samples)[:size]  # int64 already
         return rng.integers(0, self.n_samples, size=size, dtype=np.int64)
 

@@ -108,6 +108,15 @@ def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
     return x
 
 
+def _check_tape(name: str, stage: StageSpec, y: np.ndarray, v_out: np.ndarray):
+    """A backward call's tape entry and v_out, checked against the stage and each other."""
+    y = _check_vec(name, y, stage.input_dim)
+    v = _check_vec("v_out", v_out, stage.output_dim)
+    if y.shape[:-1] != v.shape[:-1]:
+        raise ContractViolation(f"{name} {y.shape} and v_out {v.shape} differ in rows")
+    return y, v
+
+
 def _check_params(x: np.ndarray, dim: int) -> np.ndarray:
     if type(x) is np.ndarray and x.dtype is _F64 and x.shape == (dim,):
         return x
@@ -159,15 +168,14 @@ def stage_backward_input(
     """Adjoint with respect to the input: J_y(a_e)^T v_out. ``saved`` is
     the stage's tape entry: its input, or its output where
     ``stage.saves_output`` is set (tanh and relu)."""
-    y = _check_vec("saved", saved, stage.input_dim)
-    v = _check_vec("v_out", v_out, stage.output_dim)
+    y, v = _check_tape("saved", stage, saved, v_out)
     w = _check_params(w, stage.param_dim)
     if stage.kind in (LINEAR, AFFINE_BIAS):  # an ||w||^2 output does not depend on y
         return v[..., : stage.matrix_rows] @ _matrix(stage, w)
     if stage.kind == TANH:  # v * (1 - tanh^2), in one temporary
         d = np.square(y)
         np.subtract(1.0, d, out=d)
-        return np.multiply(v, d, out=d) if d.shape == v.shape else v * d
+        return np.multiply(v, d, out=d)
     if stage.kind == RELU:  # max(y, 0) > 0 exactly when y > 0
         return v * (y > 0.0)
     if stage.kind == LOGISTIC_LOSS:
@@ -187,8 +195,7 @@ def stage_backward_weight(
     over the rows (callers average by batch size). With ``out`` (a
     contiguous float64 vector of ``param_dim`` entries) the result is
     written there and ``out`` is returned."""
-    y = _check_vec("y_in", y_in, stage.input_dim)
-    v = _check_vec("v_out", v_out, stage.output_dim)
+    y, v = _check_tape("y_in", stage, y_in, v_out)
     w = _check_params(w, stage.param_dim)
     out = np.empty(stage.param_dim) if out is None else out
     if stage.param_dim == 0:

@@ -18,8 +18,9 @@ Body by format tag:
            bits in [2, 16], whole codes within +-(2^(bits-1) - 1)
   NATURAL  d bytes, each 1 sign bit (high) + 7-bit exponent offset
            (exponent+64 in [1,127]; 0 is the value zero; 0x80 is invalid)
-  COMPOSE  u32 nonzero count + count x u32 indices (strictly ascending) + the
-           value block of the final member's format over those values
+  COMPOSE  u32 nonzero count + count x u32 indices (strictly ascending) + a
+           DENSE, QUANT or NATURAL value block over those values: the
+           final member's format, DENSE after a sparse member
 
 Values travel as float32, so a decoded DENSE/SPARSE body equals the
 float32 cast of what was sent (bit-exact when the values are float32-
@@ -28,8 +29,9 @@ in-process reconstruction exactly, because their codes are integers and
 the QUANT scale is float32 by construction. No float32 inf or NaN
 travels: both the encoder and the decoder refuse one.
 
-Decoding SPARSE and COMPOSE needs the boundary dimension, and QUANT needs
-the bit width; both are connection state known to each endpoint.
+The decoder checks each body's length with ``sizes``. It needs the
+boundary dimension, the quant width and a composed body's value-block
+format, all connection state known to each endpoint.
 """
 
 from __future__ import annotations
@@ -158,13 +160,6 @@ def _whole_codes(codes, fmt_name: str) -> np.ndarray:
     return codes
 
 
-def _check_decoded_indices(idx: np.ndarray, dim: int, fmt_name: str) -> None:
-    if (idx[1:] <= idx[:-1]).any():
-        raise DecodeError(f"{fmt_name} indices not strictly ascending")
-    if len(idx) and idx[-1] >= dim:
-        raise DecodeError(f"{fmt_name} index out of range")
-
-
 def _encode_body(body: WireBody) -> bytes:
     if body.fmt == FMT_DENSE:
         return _float32(body.values).tobytes()
@@ -208,20 +203,6 @@ def encode_message(step: int, boundary: int, direction: int, body: WireBody) -> 
     return _HEADER.pack(step, boundary, direction, body.fmt) + raw
 
 
-def _decode_quant_values(raw: bytes, dim: int, bits: int) -> np.ndarray:
-    if bits not in QUANT_BITS:
-        raise DecodeError(f"quant bit width {bits} outside {QUANT_WIDTHS}")
-    if len(raw) != sizes(FMT_QUANT, dim, bits=bits)[0]:
-        raise DecodeError("quant body length mismatch")
-    scale = struct.unpack("<f", raw[:4])[0]
-    offset = (1 << (bits - 1)) - 1
-    codes = _unpack_bits(raw[4:], dim, bits) - offset
-    if np.any(np.abs(codes) > offset):
-        raise DecodeError("quant code out of range")
-    step = 2.0 * float(np.float32(scale)) / (2**bits - 1)
-    return codes * step
-
-
 def _decode_natural_values(raw: bytes) -> np.ndarray:
     out = np.zeros(len(raw), dtype=np.float64)
     for i, byte in enumerate(raw):
@@ -233,40 +214,55 @@ def _decode_natural_values(raw: bytes) -> np.ndarray:
     return out
 
 
-def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner_fmt: int = FMT_DENSE) -> np.ndarray:
-    if tag == FMT_DENSE:
-        if len(raw) != 4 * dim:
-            raise DecodeError("dense body length mismatch")
+def _decode_values(fmt: int, raw: bytes, n: int, bits: int) -> np.ndarray:
+    """The n values of a DENSE, QUANT or NATURAL block whose length is checked."""
+    if fmt == FMT_DENSE:
         return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+    if fmt == FMT_QUANT:
+        scale = struct.unpack_from("<f", raw)[0]
+        offset = (1 << (bits - 1)) - 1
+        codes = _unpack_bits(raw[4:], n, bits) - offset
+        if np.any(np.abs(codes) > offset):
+            raise DecodeError("quant code out of range")
+        return codes * (2.0 * scale / (2**bits - 1))
+    if 0x80 in raw:  # a sign bit over exponent offset 0: reserved, not a value
+        raise DecodeError("natural byte 0x80 is reserved")
+    return _decode_natural_values(raw)
+
+
+_FORMAT_NAMES = ("dense", "sparse", "quant", "natural", "compose")  # by format tag
+_VALUE_FORMATS = (FMT_DENSE, FMT_QUANT, FMT_NATURAL)
+
+
+def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner: int) -> np.ndarray:
+    if tag >= len(_FORMAT_NAMES):
+        raise DecodeError(f"unknown format tag {tag}")
+    if tag == FMT_COMPOSE and inner not in _VALUE_FORMATS:
+        raise DecodeError(f"compose value block of format {inner} is not dense, quant or natural")
+    if (inner if tag == FMT_COMPOSE else tag) == FMT_QUANT and bits not in QUANT_BITS:
+        raise DecodeError(f"quant bit width {bits} outside {QUANT_WIDTHS}")
+    if tag == FMT_COMPOSE and len(raw) < 4:
+        raise DecodeError("compose body too short")
+    count = (struct.unpack_from("<I", raw)[0] if tag == FMT_COMPOSE
+             else len(raw) // _SPARSE_ENTRY.itemsize)  # sizes reads it for SPARSE only
+    size, value_size = sizes(tag, dim, count, bits, inner)
+    if len(raw) != size:
+        raise DecodeError(f"{_FORMAT_NAMES[tag]} body length mismatch")
+    if tag in _VALUE_FORMATS:
+        return _decode_values(tag, raw, dim, bits)
     if tag == FMT_SPARSE:
-        if len(raw) % 8:
-            raise DecodeError("sparse body length mismatch")
         entries = np.frombuffer(raw, dtype=_SPARSE_ENTRY)
-        _check_decoded_indices(entries["i"], dim, "sparse")
-        out = np.zeros(dim, dtype=np.float64)
-        out[entries["i"]] = entries["v"]
-        return out
-    if tag == FMT_QUANT:
-        return _decode_quant_values(raw, dim, bits)
-    if tag == FMT_NATURAL:
-        if len(raw) != dim:
-            raise DecodeError("natural body length mismatch")
-        if 0x80 in raw:  # a sign bit over exponent offset 0: reserved, not a value
-            raise DecodeError("natural byte 0x80 is reserved")
-        return _decode_natural_values(raw)
-    if tag == FMT_COMPOSE:
-        if len(raw) < 4:
-            raise DecodeError("compose body too short")
-        count = struct.unpack("<I", raw[:4])[0]
-        if len(raw) < 4 + 4 * count:
-            raise DecodeError("compose body length mismatch")
+        idx = entries["i"]
+    else:
         idx = np.frombuffer(raw, dtype="<u4", count=count, offset=4)
-        _check_decoded_indices(idx, dim, "compose")
-        vals = _decode_body(inner_fmt, raw[4 + 4 * count :], count, bits)
-        out = np.zeros(dim, dtype=np.float64)
-        out[idx] = vals
-        return out
-    raise DecodeError(f"unknown format tag {tag}")
+    if (idx[1:] <= idx[:-1]).any():
+        raise DecodeError(f"{_FORMAT_NAMES[tag]} indices not strictly ascending")
+    if len(idx) and idx[-1] >= dim:
+        raise DecodeError(f"{_FORMAT_NAMES[tag]} index out of range")
+    out = np.zeros(dim, dtype=np.float64)
+    out[idx] = (entries["v"] if tag == FMT_SPARSE
+                else _decode_values(inner, raw[size - value_size:], count, bits))
+    return out
 
 
 def decode_message(data: bytes, dim: int, bits: int = 0, compose_inner: int = FMT_DENSE):

@@ -272,6 +272,42 @@ class TestOnePass:
         assert pay.encoded_bytes == len(wire.encode_message(0, 0, 0, pay.body)) - wire.HEADER_BYTES
 
 
+MEMBERS = [comp.identity_spec(), comp.topk_spec(2), comp.randk_spec(2), comp.quant_spec(4),
+           comp.quant_spec(8), comp.natural_spec(), comp.inject_uniform_spec(0.1)]
+
+
+def parent_wire_format(spec):
+    """The per-call derivation the built attributes replace, kept as their oracle."""
+    formats = {comp.IDENTITY: wire.FMT_DENSE, comp.INJECT_UNIFORM: wire.FMT_DENSE,
+               comp.TOPK: wire.FMT_SPARSE, comp.RANDK: wire.FMT_SPARSE,
+               comp.UNIFORM_QUANT: wire.FMT_QUANT, comp.NATURAL: wire.FMT_NATURAL}
+    if spec.kind != comp.COMPOSE:
+        return formats[spec.kind], spec.bits, wire.FMT_DENSE
+    last = spec.inner[-1]
+    inner = formats[last.kind]
+    return wire.FMT_COMPOSE, last.bits, wire.FMT_DENSE if inner == wire.FMT_SPARSE else inner
+
+
+def parent_stochastic(spec):
+    if spec.kind == comp.COMPOSE:
+        return any(parent_stochastic(m) for m in spec.inner)
+    return spec.kind in comp.STOCHASTIC_KINDS
+
+
+def spec_label(spec):
+    if spec.kind == comp.COMPOSE:
+        return f"compose({','.join(map(spec_label, spec.inner))})"
+    return f"{spec.kind}{spec.k or spec.bits or ''}"
+
+
+class TestBuiltWireFormat:
+    @pytest.mark.parametrize("spec", MEMBERS + [comp.compose_spec(m) for m in MEMBERS] + [
+        comp.compose_spec(a, b) for a in MEMBERS for b in MEMBERS], ids=spec_label)
+    def test_the_spec_fixes_what_was_derived_per_call(self, spec):
+        assert (spec.fmt, spec.wire_bits, spec.value_fmt) == parent_wire_format(spec)
+        assert spec.stochastic is parent_stochastic(spec)
+
+
 class TestInjectUniform:
     def test_noise_scales_with_input(self):
         rng = named_stream(7, "inject")

@@ -704,10 +704,12 @@ class TestMisc:
         ("no rows", "empty dataset"),
         ("worker 1 parameters", "worker 1 expects 7 parameters"),
         ("worker 2 parameters", "worker 2 expects 0 parameters"),
+        ("batch above the rows", "batch size 8 exceeds the 4-sample dataset"),
     ])
     def test_build_refuses(self, logistic_setup, case, message):
         chain, X, init = logistic_setup
         init = list(init)
+        cfg = make_config(NO_COMP, chain)
         if case == "one worker":
             chain = st.ModelChain(chain.stages)
         elif case == "stream width":
@@ -718,11 +720,13 @@ class TestMisc:
             X = X[:, :6]
         elif case == "no rows":
             X = X[:0]
+        elif case == "batch above the rows":
+            X, cfg = X[:4], make_config(NO_COMP, chain, batch=8)
         else:
             e = int(case.split()[1])
             init[e - 1] = np.zeros(len(init[e - 1]) + 1)
         with pytest.raises(ConfigurationError, match=message):
-            PipelineEngine(chain, make_config(NO_COMP, chain), X, init_weights=init)
+            PipelineEngine(chain, cfg, X, init_weights=init)
 
     def test_wrong_compressor_count_rejected(self, logistic_setup):
         chain, X, _ = logistic_setup

@@ -86,6 +86,28 @@ class TestConfigParsing:
                            match=r"^sampling\.P: unknown or unused key; did you mean sampling\.p\?$"):
             H.config_from_mapping(raw)
 
+    @pytest.mark.parametrize("key, value, setting", [
+        ("optimizer.beta2", "0.9", "optimizer.kind = adam"),
+        ("optimizer.eps", "1e-6", "optimizer.kind = adam"),
+        ("model.dims", "8,8", "dataset.kind = synthetic_mlp"),
+        ("model.boundaries", "2", "dataset.kind = synthetic_mlp"),
+        ("dataset.dim", "64", "dataset.kind = synthetic_logistic"),
+        ("dataset.feature_scale", "0.5", "dataset.kind = synthetic_logistic"),
+        ("dataset.noise_scale", "0.3", "dataset.kind = synthetic_logistic"),
+        ("dataset.second_param_is_std", "true", "dataset.kind = synthetic_logistic"),
+        ("dataset.c_r", "3", "dataset.kind = synthetic_logistic"),
+    ])
+    def test_a_key_read_only_under_another_setting_names_that_setting(self, key, value, setting):
+        other = {"optimizer.kind": "momentum_sgd", "dataset.kind": "synthetic_mlp"}
+        if setting == "dataset.kind = synthetic_mlp":
+            other["dataset.kind"] = "synthetic_logistic"
+        raw = {"algo.variant": "no_comp", **other, key: value}
+        with pytest.raises(ConfigurationError, match=rf"^{re.escape(key)}: unknown or unused key; "
+                                                     rf"read only when {re.escape(setting)}$"):
+            H.config_from_mapping(raw)
+        setting_key, setting_value = setting.split(" = ")
+        H.config_from_mapping({**raw, setting_key: setting_value})  # read there
+
     def test_model_kind_may_restate_the_dataset_model(self):
         # the form the benchmark's MLP workload writes
         cfg = H.config_from_mapping({

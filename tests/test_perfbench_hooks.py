@@ -11,7 +11,7 @@ import pytest
 
 from clapping_sim import compressors as comp
 from clapping_sim import engine, stages, wire
-from clapping_sim.engine import CLAPPING_FC, AlgoConfig, PipelineEngine
+from clapping_sim.engine import CLAPPING_FC, CLAPPING_FU, NO_COMP, AlgoConfig, PipelineEngine
 from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig
 from clapping_sim.rng import named_stream
 from clapping_sim.sampling import BATCH_BATCHWISE, Schedule
@@ -30,13 +30,12 @@ HOOKS = [
 ]
 
 
-@pytest.fixture
-def three_worker_engine():
+def make_engine(variant):
     chain = stages.tanh_mlp_chain((5, 6, 6, 4), boundaries=(2, 4))
     X = named_stream(4, "hooks").standard_normal((16, 5))
     opt = OptimizerConfig(MOMENTUM_SGD, gamma=Schedule.constant(0.05),
                           momentum=Schedule.constant(0.5))
-    cfg = AlgoConfig(variant=CLAPPING_FC, optimizer=opt,
+    cfg = AlgoConfig(variant=variant, optimizer=opt,
                      forward_compressors=(comp.topk_spec(2),) * 2,
                      backward_compressors=(comp.quant_spec(8),) * 2,
                      batch_size=4, total_steps=3, seed=1, sampler_rule=BATCH_BATCHWISE,
@@ -44,6 +43,11 @@ def three_worker_engine():
     init = [0.3 * named_stream(5, "hooks-init").standard_normal(chain.worker_param_dim(e))
             for e in (1, 2, 3)]
     return PipelineEngine(chain, cfg, X, init_weights=init)
+
+
+@pytest.fixture
+def three_worker_engine():
+    return make_engine(CLAPPING_FC)
 
 
 def test_tracer_sees_every_exchange_and_every_ledger_byte(three_worker_engine):
@@ -120,4 +124,32 @@ def test_only_parametric_stages_get_a_weight_adjoint(three_worker_engine):
         children = [spans[j] for j, parent in enumerate(tracer.parent) if parent == i]
         assert children.count("compressors.compress_batch") == 1, children
     assert spans.count("wire.ledger_record") == len(exchanges)
+    assert tracer.counters[OP]["wire.ledger_payload_bytes"] == eng.ledger.total_bytes() > 0
+
+
+@pytest.mark.parametrize("variant", [NO_COMP, CLAPPING_FU])
+def test_every_message_runs_one_compress_batch(variant):
+    """A dense send is identity compression: a ``no_comp`` exchange, and a
+    ``clapping_fu`` one whose rows were all drawn fresh, run the same one
+    traced compress_batch as any compressed exchange."""
+    eng = make_engine(variant)
+    tracer, patches = Tracer(), Patches()
+    instrument(tracer, patches)
+    fresh = []
+    try:
+        for step in range(6):
+            tracer.begin_root(OP, str(step))
+            fresh.append(eng.run_iteration())
+        tracer.end_root()
+    finally:
+        patches.undo()
+
+    assert fresh[0] and (variant == NO_COMP or not all(fresh))  # reused and fresh steps both
+    spans = [tracer.names[n] for n in tracer.name_id]
+    exchanges = [i for i, name in enumerate(spans) if name.endswith("_exchange")]
+    assert len(exchanges) == 6 * 2 * 2
+    for i in exchanges:
+        children = [spans[j] for j, parent in enumerate(tracer.parent) if parent == i]
+        assert children.count("compressors.compress_batch") == 1, (
+            tracer.root_label[tracer.root[i]], children)
     assert tracer.counters[OP]["wire.ledger_payload_bytes"] == eng.ledger.total_bytes() > 0

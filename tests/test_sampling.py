@@ -145,9 +145,8 @@ class TestLazySample:
             assert len(set(idx.tolist())) == 16
 
     def test_batch_larger_than_dataset_rejected(self):
-        sampler = make_sampler(rule=BATCH_BATCHWISE, batch=32, p=1.0, n=8)
-        with pytest.raises(ConfigurationError):
-            lazy_sample(sampler, named_stream(8, "s"))
+        with pytest.raises(ConfigurationError, match="batch size 32 exceeds the 8-sample dataset"):
+            make_sampler(rule=BATCH_BATCHWISE, batch=32, p=1.0, n=8)
 
     def test_single_rule_requires_batch_one(self):
         with pytest.raises(ConfigurationError):

@@ -144,6 +144,29 @@ class TestDecodeErrors:
         with pytest.raises(DecodeError):
             wire.decode_message(self._compose_message(5, [1], [2.0]), 4)
 
+    @pytest.mark.parametrize("inner, block", [
+        (wire.FMT_SPARSE, struct.pack("<If", 0, 2.0)),  # one sparse entry for the one index
+        (wire.FMT_COMPOSE, struct.pack("<I", 0)),        # a nested composed body of no entries
+        (9, bytes(4)),
+    ], ids=["sparse", "compose", "unknown"])
+    def test_a_composed_value_block_is_dense_quant_or_natural(self, inner, block):
+        """No encoder writes a sparse or composed value block, so the decoder
+        refuses one even where its length would fit."""
+        msg = struct.pack("<IHBBII", 0, 0, 0, wire.FMT_COMPOSE, 1, 1) + block
+        with pytest.raises(DecodeError, match=f"^compose value block of format {inner} is not "
+                                              f"dense, quant or natural$"):
+            wire.decode_message(msg, 4, 8, compose_inner=inner)
+
+    def test_a_composed_quant_block_is_checked_with_its_body(self):
+        spec = comp.compose_spec(comp.topk_spec(3), comp.quant_spec(8))
+        pay = comp.compress(spec, np.arange(1.0, 7.0))
+        msg = wire.encode_message(0, 0, 0, pay.body)
+        assert np.array_equal(wire.decode_message(msg, 6, 8, wire.FMT_QUANT)[1], pay.reconstruction)
+        with pytest.raises(DecodeError, match="^compose body length mismatch$"):
+            wire.decode_message(msg[:-1], 6, 8, wire.FMT_QUANT)
+        with pytest.raises(DecodeError, match=r"^quant bit width 0 outside \[2, 16\]$"):
+            wire.decode_message(msg, 6, 0, wire.FMT_QUANT)
+
     @pytest.mark.parametrize("indices", [[3, 3], [5, 2]])
     def test_sparse_indices_not_strictly_ascending(self, indices):
         entries = np.zeros(2, dtype=[("i", "<u4"), ("v", "<f4")])
