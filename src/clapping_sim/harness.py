@@ -112,15 +112,9 @@ def parse_schedule(key: str, text: str) -> Schedule:
         raise ConfigurationError(f"{key}: {e}") from None
 
 
-# compressor syntax: name -> (spec builder, argument parser; None takes no argument)
-_COMPRESSOR_SYNTAX = {
-    "identity": (comp.identity_spec, None),
-    "topk": (comp.topk_spec, _int),
-    "randk": (comp.randk_spec, _int),
-    "quant": (comp.quant_spec, _int),
-    "natural": (comp.natural_spec, None),
-    "inject_uniform": (comp.inject_uniform_spec, _float),
-}
+# compressor syntax: each kind's config name, and the parser of the field it reads
+_COMPRESSOR_NAMES = {row.name: kind for kind, row in comp.KIND_TABLE.items() if row.name}
+_ARGUMENT = {int: _int, float: _float}
 
 
 def parse_compressor(key: str, text: str) -> comp.CompressorSpec:
@@ -128,14 +122,15 @@ def parse_compressor(key: str, text: str) -> comp.CompressorSpec:
     for token in str(text).split("+"):
         token = token.strip()
         name, colon, arg = token.partition(":")
-        if name not in _COMPRESSOR_SYNTAX:
+        if name not in _COMPRESSOR_NAMES:
             raise ConfigurationError(f"{key}: unknown compressor {name!r}")
-        make, parse = _COMPRESSOR_SYNTAX[name]
-        if parse is None and colon:
+        kind = _COMPRESSOR_NAMES[name]
+        field = comp.KIND_TABLE[kind].field
+        if field is None and colon:
             raise ConfigurationError(f"{key}: {name} takes no argument, got {token!r}")
-        args = () if parse is None else (parse(key, arg),)
+        args = {} if field is None else {field.name: _ARGUMENT[field.type](key, arg)}
         try:
-            members.append(make(*args))
+            members.append(comp.CompressorSpec(kind, **args))
         except ConfigurationError as exc:  # the spec's own range check
             raise ConfigurationError(f"{key}: {exc}") from None
     return members[0] if len(members) == 1 else comp.compose_spec(*members)
@@ -163,6 +158,7 @@ class ExperimentConfig:
     c_r: float = 0.005
 
 
+_MAX_FLOAT64S = np.iinfo(np.intp).max // 8  # numpy refuses an array of more bytes than intp holds
 _MODEL_OF_DATASET = {"synthetic_logistic": "logistic", "synthetic_mlp": "tanh_mlp"}
 # keys read only under another setting: the unused-key error names that setting
 _READ_ONLY_WHEN = {
@@ -251,6 +247,14 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         c_r=read("dataset.c_r", _float, 0.005, minimum=0.0),
     )
     n = read("dataset.n", _int, 1024, minimum=1)
+    # numpy must be able to describe the arrays these sizes shape, not that they fit in memory
+    width = max(dims) if mlp else logistic["dataset_dim"] + 1
+    for key, *shape in (*(("model.dims", a + 1, b) for a, b in zip(dims, (*dims[1:], 1))),
+                        ("dataset.dim", width), ("dataset.n", n, dims[0] if mlp else width),
+                        ("algo.batch_size", batch, width)):
+        if math.prod(shape) > _MAX_FLOAT64S:
+            raise ConfigurationError(f"{key}: a {' x '.join(map(str, shape))} float64 array "
+                                     "exceeds numpy's size limit")
     if algo.sampler_rule == BATCH_BATCHWISE and batch > n:
         raise ConfigurationError(
             f"algo.batch_size: {batch} exceeds the {n}-sample dataset, which "

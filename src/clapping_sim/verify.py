@@ -183,7 +183,7 @@ def check_ef_decay(
     cache = np.zeros(boundary_dim)
     errs = [float(np.linalg.norm(y - cache))]
     for _ in range(steps):
-        cache = cache + comp.compress(spec, y - cache).reconstruction
+        cache = cache + comp.compress_batch(spec, (y - cache)[None])[0][0]
         errs.append(float(np.linalg.norm(y - cache)))
     worst = 0.0
     for prev, cur in zip(errs, errs[1:]):
@@ -315,7 +315,7 @@ def check_error_propagation(
         for e in range(1, E):
             y_pre[e], tapes[e] = _worker_apply(chain, e, weights, y_tilde[e - 1])
             cache = y_hat[e] + 0.5 * rng.standard_normal(len(y_hat[e]))
-            delta = comp.compress(fwd_specs[e - 1], y_pre[e] - cache, rng).reconstruction
+            delta = comp.compress_batch(fwd_specs[e - 1], (y_pre[e] - cache)[None], rng)[0][0]
             y_tilde[e] = cache + delta
         _, tapes[E] = _worker_apply(chain, E, weights, y_tilde[E - 1])
 
@@ -327,7 +327,7 @@ def check_error_propagation(
             v_hat[e] = _worker_pullback(chain, e + 1, weights, tapes_hat[e + 1], v_hat[e + 1])
             v_pre[e] = _worker_pullback(chain, e + 1, weights, tapes[e + 1], v_tilde[e + 1])
             cache = v_hat[e] + 0.5 * rng.standard_normal(len(v_hat[e]))
-            delta = comp.compress(bwd_specs[e - 1], v_pre[e] - cache, rng).reconstruction
+            delta = comp.compress_batch(bwd_specs[e - 1], (v_pre[e] - cache)[None], rng)[0][0]
             v_tilde[e] = cache + delta
 
         # constants realized on this trial's states

@@ -36,6 +36,7 @@ format, all connection state known to each endpoint.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -214,12 +215,22 @@ def _decode_natural_values(raw: bytes) -> np.ndarray:
     return out
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """float32 values as float64, refused if one is not finite before a cast can warn."""
+    if not np.isfinite(values).all():
+        raise DecodeError("non-finite decoded value")
+    return values.astype(np.float64)
+
+
 def _decode_values(fmt: int, raw: bytes, n: int, bits: int) -> np.ndarray:
-    """The n values of a DENSE, QUANT or NATURAL block whose length is checked."""
+    """The n values of a DENSE, QUANT or NATURAL block whose length is
+    checked; every value a NATURAL byte or a finite QUANT scale gives is finite."""
     if fmt == FMT_DENSE:
-        return np.frombuffer(raw, dtype="<f4").astype(np.float64)
+        return _finite(np.frombuffer(raw, dtype="<f4"))
     if fmt == FMT_QUANT:
         scale = struct.unpack_from("<f", raw)[0]
+        if not math.isfinite(scale):
+            raise DecodeError("non-finite decoded value")
         offset = (1 << (bits - 1)) - 1
         codes = _unpack_bits(raw[4:], n, bits) - offset
         if np.any(np.abs(codes) > offset):
@@ -260,7 +271,7 @@ def _decode_body(tag: int, raw: bytes, dim: int, bits: int, inner: int) -> np.nd
     if len(idx) and idx[-1] >= dim:
         raise DecodeError(f"{_FORMAT_NAMES[tag]} index out of range")
     out = np.zeros(dim, dtype=np.float64)
-    out[idx] = (entries["v"] if tag == FMT_SPARSE
+    out[idx] = (_finite(entries["v"]) if tag == FMT_SPARSE
                 else _decode_values(inner, raw[size - value_size:], count, bits))
     return out
 
@@ -277,10 +288,8 @@ def decode_message(data: bytes, dim: int, bits: int = 0, compose_inner: int = FM
     step, boundary, direction, tag = _HEADER.unpack(data[:HEADER_BYTES])
     if direction not in (FORWARD, BACKWARD):
         raise DecodeError(f"unknown direction {direction}")
-    values = _decode_body(tag, data[HEADER_BYTES:], dim, bits, compose_inner)
-    if not np.isfinite(values).all():
-        raise DecodeError("non-finite decoded value")
-    return (step, boundary, direction, tag), values
+    return (step, boundary, direction, tag), _decode_body(tag, data[HEADER_BYTES:], dim, bits,
+                                                          compose_inner)
 
 
 @dataclass

@@ -198,3 +198,29 @@ def test_unwritable_output_fails_before_the_first_step(config_path, tmp_path, ca
     assert len(err) == 1 and err[0].startswith(
         f"config error: {tmp_path}: cannot write metrics file (")
     assert steps == []
+
+
+HUGE = "9999999999999999999999"
+MLP = {"dataset.kind": "synthetic_mlp", "model.boundaries": "1"}
+
+
+@pytest.mark.parametrize("key, settings", [
+    ("dataset.dim", {"dataset.dim": HUGE}),
+    ("dataset.n", {"dataset.n": HUGE}),
+    ("model.dims", {**MLP, "model.dims": f"4,{HUGE},4"}),
+    ("dataset.n", {**MLP, "dataset.n": HUGE}),
+    ("algo.batch_size", {"algo.batch_size": HUGE, "algo.sampler_rule": "batch_samplewise"}),
+    ("dataset.n", {"dataset.n": "1099511627776", "dataset.dim": "1099511627776"}),
+])
+def test_a_size_numpy_cannot_describe_is_a_config_error(tmp_path, capsys, monkeypatch, key,
+                                                        settings):
+    def build(cfg):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr("clapping_sim.harness.build_problem", build)
+    path = tmp_path / "huge.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {"algo.variant": "no_comp",
+                                                          **settings}.items()))
+    assert main(["run", str(path), "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -9,6 +11,8 @@ from clapping_sim import compressors as comp
 from clapping_sim import harness, wire
 from clapping_sim.errors import ConfigurationError, ContractViolation
 from clapping_sim.rng import named_stream
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 finite_vectors = hs.lists(
     hs.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
@@ -107,7 +111,7 @@ class TestTopKSelection:
     @settings(max_examples=200, deadline=None)
     def test_mask_matches_stable_argsort_for_every_k(self, x):
         for k in range(1, x.shape[-1] + 1):
-            npt.assert_array_equal(comp._topk_rows(x, k), topk_rows_reference(x, k))
+            npt.assert_array_equal(comp._topk_rows(x, k, None)[1][0], topk_rows_reference(x, k))
 
     def test_engine_csv_matches_argsort_reference(self, tmp_path, monkeypatch):
         cfg = harness.config_from_mapping({
@@ -121,11 +125,13 @@ class TestTopKSelection:
         partitioned = harness.run_experiment(cfg, tmp_path / "partition.csv").read_bytes()
         calls = []
 
-        def reference(x, k):
+        def reference(x, k, rng):
             calls.append(x.shape)
-            return topk_rows_reference(x, k)
+            mask = topk_rows_reference(x, k)
+            return np.where(mask, x, 0.0), (mask,)
 
-        monkeypatch.setattr(comp, "_topk_rows", reference)
+        topk = comp.KIND_TABLE[comp.TOPK]
+        monkeypatch.setitem(comp.KIND_TABLE, comp.TOPK, topk._replace(rows=reference))
         argsorted = harness.run_experiment(cfg, tmp_path / "argsort.csv").read_bytes()
         assert calls  # the reference really replaced the selection
         assert partitioned == argsorted
@@ -253,6 +259,7 @@ class TestOnePass:
     def test_compress_runs_the_pass_once_without_compress_batch(self, monkeypatch, syntax, helper):
         calls = []
         inner = getattr(comp, helper)
+        kind = next(k for k, row in comp.KIND_TABLE.items() if row.rows is inner)
 
         def counted(*args):
             calls.append(args[0].shape)
@@ -264,7 +271,7 @@ class TestOnePass:
         spec = harness.parse_compressor("forward", syntax)
         x = named_stream(10, "one-pass").standard_normal(12)
         want = comp.compress_batch(spec, x[None])[0][0]
-        monkeypatch.setattr(comp, helper, counted)
+        monkeypatch.setitem(comp.KIND_TABLE, kind, comp.KIND_TABLE[kind]._replace(rows=counted))
         monkeypatch.setattr(comp, "compress_batch", refuse)
         pay = comp.compress(spec, x)
         assert calls == [(1, 12)]
@@ -291,7 +298,7 @@ def parent_wire_format(spec):
 def parent_stochastic(spec):
     if spec.kind == comp.COMPOSE:
         return any(parent_stochastic(m) for m in spec.inner)
-    return spec.kind in comp.STOCHASTIC_KINDS
+    return spec.kind in (comp.RANDK, comp.INJECT_UNIFORM)
 
 
 def spec_label(spec):
@@ -306,6 +313,27 @@ class TestBuiltWireFormat:
     def test_the_spec_fixes_what_was_derived_per_call(self, spec):
         assert (spec.fmt, spec.wire_bits, spec.value_fmt) == parent_wire_format(spec)
         assert spec.stochastic is parent_stochastic(spec)
+
+
+class TestSpecFields:
+    @pytest.mark.parametrize("build", [
+        lambda: comp.CompressorSpec(comp.IDENTITY, k=5, bits=3, amplitude=2.0),
+        lambda: comp.CompressorSpec(comp.TOPK, k=2, inner=(comp.natural_spec(),)),
+        lambda: comp.CompressorSpec(comp.NATURAL, bits=99),
+        lambda: comp.compose_spec(comp.topk_spec(2), comp.CompressorSpec(comp.NATURAL, bits=9)),
+    ], ids=["identity-k-bits-amplitude", "topk-inner", "natural-bits", "compose-natural-bits"])
+    def test_a_field_the_kind_never_reads_is_refused(self, build):
+        with pytest.raises(ConfigurationError, match="does not read"):
+            build()
+
+    @pytest.mark.parametrize("kind, field, bad", [
+        (comp.TOPK, "k", 0), (comp.RANDK, "k", -1), (comp.UNIFORM_QUANT, "bits", 17),
+        (comp.INJECT_UNIFORM, "amplitude", 0.0), (comp.COMPOSE, "inner", ()),
+        (comp.COMPOSE, "inner", (comp.compose_spec(comp.natural_spec()),)),
+    ])
+    def test_the_field_the_kind_reads_is_range_checked(self, kind, field, bad):
+        with pytest.raises(ConfigurationError, match=f"^{kind} {field} must be "):
+            comp.CompressorSpec(kind, **{field: bad})
 
 
 class TestInjectUniform:
@@ -377,3 +405,43 @@ class TestSharedBehavior:
                 npt.assert_array_equal(recon[i], pays[i].reconstruction)
             assert nbytes == sum(p.encoded_bytes for p in pays)
             assert vbytes == sum(p.value_bytes for p in pays)
+
+
+class TestReadmeKindTable:
+    TYPE_WORDS = {int: "integer", float: "number"}
+    FORMAT_NAMES = {wire.FMT_DENSE: "dense", wire.FMT_SPARSE: "sparse", wire.FMT_QUANT: "quant",
+                    wire.FMT_NATURAL: "natural", wire.FMT_COMPOSE: "compose"}
+    ARGS = {"k": 3, "bits": 4, "amplitude": 0.5,
+            "inner": (comp.topk_spec(9), comp.quant_spec(8))}
+
+    def test_readme_kind_table_matches_the_code_table(self):
+        rows = {}
+        for line in README.read_text().splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 6 and cells[0].strip("`") in comp.KIND_TABLE:
+                rows[cells[0].strip("`")] = cells[1:]
+        assert rows.keys() == comp.KIND_TABLE.keys()
+        d = 10
+        for kind, (syntax, reads, fmt, stochastic, bound) in rows.items():
+            row, field = comp.KIND_TABLE[kind], comp.KIND_TABLE[kind].field
+            args = {} if field is None else {field.name: self.ARGS[field.name]}
+            spec = comp.CompressorSpec(kind, **args)
+            assert fmt == self.FORMAT_NAMES[row.fmt], kind
+            if kind == comp.COMPOSE:  # no syntax name of its own, and a folded bound
+                assert (row.name, syntax, row.stochastic) == (None, "`A+B`", False)
+                assert (reads, stochastic) == (f"`inner`: {field.text}", "if a member is")
+                assert "ω_i" in bound and 0 < comp.contraction_bound(spec, d) < 1
+                continue
+            name, colon, _ = syntax.strip("`").partition(":")
+            assert (name, bool(colon)) == (row.name, field is not None), kind
+            assert reads == ("nothing" if field is None else
+                             f"{self.TYPE_WORDS[field.type]} `{field.name}` {field.text}"), kind
+            assert stochastic == ("yes" if row.stochastic else "no"), kind
+            if row.bound is None:
+                assert bound.startswith("none"), kind
+                with pytest.raises(ConfigurationError, match="not a contractive"):
+                    comp.contraction_bound(spec, d)
+            else:
+                formula = bound.split("`")[1].replace("^", "**")
+                documented = eval(formula, {"__builtins__": {}}, {"d": d, **args})
+                assert documented == pytest.approx(comp.contraction_bound(spec, d)), kind

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -196,6 +197,25 @@ class TestDecodeErrors:
         msg = struct.pack("<IHBB", 0, 0, 0, fmt) + body
         with pytest.raises(DecodeError, match="non-finite"):
             wire.decode_message(msg, 2, bits=8)
+
+    # a float32 signalling NaN: casting it to float64 would warn before the refusal
+    SNAN = struct.pack("<I", 0x7F800001)
+
+    def _refused_without_warning(self, fmt, body):
+        msg = struct.pack("<IHBB", 0, 0, 0, fmt) + body
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DecodeError, match="non-finite"):
+                wire.decode_message(msg, 2)
+
+    def test_signalling_nan_in_a_dense_body(self):
+        self._refused_without_warning(wire.FMT_DENSE, struct.pack("<f", 1.0) + self.SNAN)
+
+    def test_signalling_nan_in_a_sparse_entry(self):
+        self._refused_without_warning(wire.FMT_SPARSE, struct.pack("<I", 1) + self.SNAN)
+
+    def test_signalling_nan_in_a_compose_dense_block(self):
+        self._refused_without_warning(wire.FMT_COMPOSE, struct.pack("<II", 1, 0) + self.SNAN)
 
     @pytest.mark.parametrize("bits", [0, 1, 17, 64])
     def test_quant_width_outside_2_to_16(self, bits):
@@ -467,11 +487,11 @@ def spec_and_batch(draw):
     with at most one stochastic member) and a (B, d) batch that may hold
     all-zero rows, so composed and sparse bodies can be empty."""
     b, d = draw(hs.integers(1, 4)), draw(hs.integers(1, 10))
-    kinds = [k for k in comp.KINDS if k != comp.COMPOSE]
+    kinds = [k for k in comp.KIND_TABLE if k != comp.COMPOSE]
     last = _member(draw, draw(hs.sampled_from(kinds)), d)
     spec = last
     if draw(hs.booleans()):
-        firsts = [k for k in kinds if not (last.stochastic and k in comp.STOCHASTIC_KINDS)]
+        firsts = [k for k in kinds if not (last.stochastic and comp.KIND_TABLE[k].stochastic)]
         spec = comp.compose_spec(_member(draw, draw(hs.sampled_from(firsts)), d), last)
     value = hs.one_of(hs.just(0.0), hs.floats(-1e6, 1e6, allow_nan=False))
     rows = [draw(hs.lists(value, min_size=d, max_size=d)) for _ in range(b)]
