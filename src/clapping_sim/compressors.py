@@ -61,6 +61,9 @@ class CompressorSpec:
         for name, default in _FIELD_DEFAULTS.items():
             value = getattr(self, name)
             if row.field and name == row.field.name:
+                if isinstance(value, bool) or not isinstance(value, _ACCEPTS[row.field.type]):
+                    raise ConfigurationError(f"{self.kind} {name} must be of type "
+                                             f"{row.field.type.__name__}, got {value!r}")
                 if not row.field.ok(value):
                     raise ConfigurationError(f"{self.kind} {name} must be {row.field.text}, "
                                              f"got {value!r}")
@@ -79,6 +82,7 @@ class CompressorSpec:
 
 
 _FIELD_DEFAULTS = {f.name: f.default for f in dataclasses.fields(CompressorSpec)[1:]}
+_ACCEPTS = {int: (int, np.integer), float: (int, float, np.integer, np.floating), tuple: tuple}
 
 
 @dataclass(frozen=True)

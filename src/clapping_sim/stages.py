@@ -28,6 +28,8 @@ input is dropped once they have run. ``pull_back`` is the backward loop.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -138,6 +140,50 @@ def _matrix(stage: StageSpec, w: np.ndarray) -> np.ndarray:
     return w[: stage.matrix_rows * stage.input_dim].reshape(stage.matrix_rows, stage.input_dim)
 
 
+_SPLIT_MACS = 1 << 22  # multiply-adds above which _matmul runs as two halves
+_helpers: dict = {}  # pid -> job queue of that process's matmul helper thread
+
+
+def _help(jobs) -> None:
+    while True:
+        a, b, out, done = jobs.get()
+        try:
+            np.matmul(a, b, out=out)
+            done.put(None)
+        except Exception as exc:  # raised again by the caller
+            done.put(exc)
+        del a, b, out, done  # hold no array between jobs
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)``. A 2-D product of more than _SPLIT_MACS
+    multiply-adds, in a process allowed two CPUs, runs as two halves of its
+    longer output side at once, one on a helper thread. Each output element
+    is the same BLAS dot product either way, so the bits match one call."""
+    if a.size * b.shape[1] <= _SPLIT_MACS or a.ndim != 2 or len(os.sched_getaffinity(0)) < 2:
+        return a @ b if out is None else np.matmul(a, b, out=out)
+    import queue  # here, so that importing the package does not load it
+
+    m, n = a.shape[0], b.shape[1]
+    out = np.empty((m, n), np.result_type(a, b)) if out is None else out
+    h = max(m, n) // 2
+    mine, theirs = (((a[:h], b, out[:h]), (a[h:], b, out[h:])) if m >= n else
+                    ((a, b[:, :h], out[:, :h]), (a, b[:, h:], out[:, h:])))
+    jobs = _helpers.get(os.getpid())
+    if jobs is None:  # the first split in this process, or in a forked child
+        jobs = _helpers[os.getpid()] = queue.SimpleQueue()
+        threading.Thread(target=_help, args=(jobs,), name="matmul-half", daemon=True).start()
+    done = queue.SimpleQueue()
+    jobs.put(theirs + (done,))
+    try:
+        np.matmul(*mine[:2], out=mine[2])
+    finally:
+        exc = done.get()
+    if exc is not None:
+        raise exc
+    return out
+
+
 def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Apply a_e(y_in, w). Pure; returns an array of trailing dim output_dim."""
     y = _check_vec("y_in", y_in, stage.input_dim)
@@ -145,10 +191,10 @@ def stage_forward(stage: StageSpec, y_in: np.ndarray, w: np.ndarray) -> np.ndarr
     if stage.kind in (LINEAR, AFFINE_BIAS):  # param_dim is 0 for a linear stage of no rows
         if stage.append_sq_norm:
             out = np.empty(y.shape[:-1] + (stage.output_dim,))  # the rows, then ||w||^2
-            np.matmul(y, _matrix(stage, w).T, out=out[..., :-1])
+            _matmul(y, _matrix(stage, w).T, out=out[..., :-1])
             out[..., -1] = w @ w
             return out
-        out = y @ _matrix(stage, w).T
+        out = _matmul(y, _matrix(stage, w).T)
         if stage.kind == AFFINE_BIAS:
             out += w[stage.matrix_rows * stage.input_dim :]
         return out
@@ -171,7 +217,7 @@ def stage_backward_input(
     y, v = _check_tape("saved", stage, saved, v_out)
     w = _check_params(w, stage.param_dim)
     if stage.kind in (LINEAR, AFFINE_BIAS):  # an ||w||^2 output does not depend on y
-        return v[..., : stage.matrix_rows] @ _matrix(stage, w)
+        return _matmul(v[..., : stage.matrix_rows], _matrix(stage, w))
     if stage.kind == TANH:  # v * (1 - tanh^2), in one temporary
         d = np.square(y)
         np.subtract(1.0, d, out=d)
@@ -203,7 +249,7 @@ def stage_backward_weight(
     if y.ndim == 1:  # a one-row batch
         y, v = y[None], v[None]
     rows = stage.matrix_rows
-    np.matmul(v[:, :rows].T, y, out=_matrix(stage, out))  # sum over rows of outer(v, y)
+    _matmul(v[:, :rows].T, y, out=_matrix(stage, out))  # sum over rows of outer(v, y)
     if stage.append_sq_norm:
         out += 2.0 * float(v[:, rows].sum()) * w
     elif stage.kind == AFFINE_BIAS:

@@ -335,6 +335,30 @@ class TestSpecFields:
         with pytest.raises(ConfigurationError, match=f"^{kind} {field} must be "):
             comp.CompressorSpec(kind, **{field: bad})
 
+    def test_a_float_k_is_refused_by_type(self):
+        with pytest.raises(ConfigurationError, match=r"^topk k must be of type int, got 2\.5$"):
+            comp.topk_spec(2.5)
+
+    def test_a_bool_k_is_refused_by_type(self):
+        with pytest.raises(ConfigurationError, match=r"^topk k must be of type int, got True$"):
+            comp.topk_spec(True)
+
+    def test_a_float_bits_is_refused_by_type(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^uniform_quant bits must be of type int, got 8\.0$"):
+            comp.quant_spec(8.0)
+
+    def test_a_string_amplitude_is_refused_by_type(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"^inject_uniform amplitude must be of type float, got '0\.2'$"):
+            comp.inject_uniform_spec("0.2")
+
+    def test_numpy_numbers_and_an_int_amplitude_are_accepted(self):
+        assert comp.topk_spec(np.int64(3)).arg == 3
+        assert comp.quant_spec(np.int32(8)).arg == 8
+        assert comp.inject_uniform_spec(np.float64(0.2)).arg == 0.2
+        assert comp.inject_uniform_spec(1) == comp.inject_uniform_spec(1.0)
+
 
 class TestInjectUniform:
     def test_noise_scales_with_input(self):

@@ -3,7 +3,10 @@
 a moved import would stop it from seeing the engine, or stop it at setup.
 These tests run it on a small engine so that such a change fails here."""
 
+import os
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -153,3 +156,65 @@ def test_every_message_runs_one_compress_batch(variant):
         assert children.count("compressors.compress_batch") == 1, (
             tracer.root_label[tracer.root[i]], children)
     assert tracer.counters[OP]["wire.ledger_payload_bytes"] == eng.ledger.total_bytes() > 0
+
+
+def wide_engine():
+    """The shape of the benchmark's mlp_wide_topk run: 4 workers, width 512,
+    batches of 128, so every affine stage product is split in two."""
+    chain = stages.tanh_mlp_chain((512,) * 5, boundaries=(2, 4, 6))
+    X = named_stream(6, "hooks-wide").standard_normal((256, 512))
+    opt = OptimizerConfig(MOMENTUM_SGD, gamma=Schedule.constant(0.01),
+                          momentum=Schedule.constant(0.9))
+    cfg = AlgoConfig(variant=CLAPPING_FC, optimizer=opt,
+                     forward_compressors=(comp.topk_spec(51),) * 3,
+                     backward_compressors=(comp.topk_spec(51),) * 3,
+                     batch_size=128, total_steps=3, seed=2, sampler_rule=BATCH_BATCHWISE,
+                     p_schedule=Schedule.constant(0.1))
+    return PipelineEngine(chain, cfg, X)
+
+
+def traced_wide_run():
+    """Three steps of the wide engine under the tracer: the span names per
+    op, and the threads that opened spans."""
+    threads = set()
+
+    class ThreadTracer(Tracer):
+        def open(self, nid):
+            threads.add(threading.get_ident())
+            return super().open(nid)
+
+    eng = wide_engine()
+    tracer, patches = ThreadTracer(), Patches()
+    instrument(tracer, patches)
+    try:
+        for step in range(3):
+            tracer.begin_root(OP, str(step))
+            eng.run_iteration()
+        tracer.end_root()
+    finally:
+        patches.undo()
+    assert not tracer.stack
+    for idx, parent in enumerate(tracer.parent):  # closed, and inside its parent
+        assert tracer.start[idx] <= tracer.end[idx]
+        if parent >= 0:
+            assert tracer.start[parent] <= tracer.start[idx] <= tracer.end[idx] <= tracer.end[parent]
+    per_op = Counter((tracer.root_label[tracer.root[idx]], tracer.names[nid])
+                     for idx, nid in enumerate(tracer.name_id))
+    return per_op, threads
+
+
+def test_split_products_keep_the_tracer_on_the_main_thread(monkeypatch):
+    """The wide stage products run half on a helper thread. The helper
+    calls only np.matmul, so every traced call still opens and closes its
+    span on the main thread, in order, and each op records the same spans
+    as with one CPU allowed, where nothing is split."""
+    monkeypatch.setattr(stages, "_helpers", {})
+    two_cpus, threads = traced_wide_run()
+    assert os.getpid() in stages._helpers  # the products were split
+    assert threads == {threading.main_thread().ident}
+    monkeypatch.setattr(stages, "_helpers", {})
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    one_cpu, _ = traced_wide_run()
+    assert stages._helpers == {}
+    assert two_cpus == one_cpu
+    assert two_cpus[("0", "stages.forward")] > 0

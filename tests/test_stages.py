@@ -1,5 +1,10 @@
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +16,8 @@ from hypothesis.extra import numpy as hnp
 from clapping_sim import stages as st
 from clapping_sim.errors import ConfigurationError, ContractViolation
 from clapping_sim.rng import named_stream
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def fd_input(spec, y, w, v, h=1e-5):
@@ -639,3 +646,93 @@ class TestParametricStagesMatchTheOracle:
         want = oracle_backward_weight(stage, y, w, v)
         assert np.array_equal(got, want)
         assert np.signbit(want).any() and same_bits(got, want + 0.0)
+
+
+def stage_products(rows, d_in, d_out, rng):
+    """The operands of the three stage matrix products of a (d_out x d_in)
+    weight matrix on a batch of ``rows``, as the stage functions pass them."""
+    y = rng.standard_normal((rows, d_in))
+    v = rng.standard_normal((rows, d_out))
+    mat = rng.standard_normal((d_out, d_in))
+    return {"forward": (y, mat.T), "input_adjoint": (v, mat), "weight_adjoint": (v.T, y)}
+
+
+class TestSplitMatmul:
+    """A product above ``_SPLIT_MACS`` runs as two halves, one on a helper
+    thread; every bit must be that of the one call it replaces."""
+
+    @pytest.mark.parametrize("rows", [128, 1024, 37])
+    def test_halves_match_one_call_bit_for_bit(self, rows, monkeypatch):
+        monkeypatch.setattr(st, "_helpers", {})
+        rng = named_stream(20, "split")
+        sides = {}
+        for d_in, d_out in ((512, 512), (512, 256)):
+            for name, (a, b) in stage_products(rows, d_in, d_out, rng).items():
+                for a, b in ((a, b), (b.T, a.T)):  # and the transposed product
+                    m, n = a.shape[0], b.shape[1]
+                    assert m * a.shape[1] * n > st._SPLIT_MACS
+                    sides.setdefault(name, set()).add("rows" if m >= n else "columns")
+                    want = a @ b
+                    assert np.array_equal(st._matmul(a, b).view(np.int64), want.view(np.int64))
+                    out = np.full(m * n, np.nan)
+                    got = st._matmul(a, b, out=out.reshape(m, n))
+                    assert np.shares_memory(got, out)
+                    assert np.array_equal(out.view(np.int64), want.ravel().view(np.int64))
+        y = rng.standard_normal((rows, 512))  # y.T @ y, one call, runs as BLAS syrk
+        assert np.array_equal(st._matmul(y.T, y).view(np.int64), (y.T @ y).view(np.int64))
+        assert os.getpid() in st._helpers  # the halves did run on the helper
+        assert sides == {name: {"rows", "columns"} for name in sides}, sides
+
+    @pytest.mark.parametrize("kind", sorted(PARAMETRIC))
+    def test_wide_stage_functions_match_the_oracle(self, kind):
+        name, extra = PARAMETRIC[kind]
+        stage = st.StageSpec(name, 512, 512 + bool(extra), extra)
+        rng = named_stream(21, "split-stage")
+        y = rng.standard_normal((128, 512))
+        w = rng.standard_normal(stage.param_dim)
+        v = rng.standard_normal((128, stage.output_dim))
+        assert same_bits(st.stage_forward(stage, y, w), oracle_forward(stage, y, w))
+        assert same_bits(st.stage_backward_input(stage, y, w, v),
+                         oracle_backward_input(stage, y, w, v))
+        assert same_bits(st.stage_backward_weight(stage, y, w, v),
+                         oracle_backward_weight(stage, y, w, v))
+
+    def test_one_cpu_runs_one_call_and_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(st, "_helpers", {})
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        threads = threading.active_count()
+        for a, b in stage_products(128, 512, 512, named_stream(22, "one-cpu")).values():
+            assert np.array_equal(st._matmul(a, b).view(np.int64), (a @ b).view(np.int64))
+        assert st._helpers == {}
+        assert threading.active_count() == threads
+
+    def test_an_error_in_the_helpers_half_reaches_the_caller(self):
+        a, b = stage_products(128, 512, 512, named_stream(23, "split-error"))["forward"]
+        with pytest.raises(ValueError):  # only the helper's column half is mis-shaped
+            st._matmul(a, b, out=np.empty((128, 600)))
+        assert np.array_equal(st._matmul(a, b).view(np.int64), (a @ b).view(np.int64))
+
+
+def run_python(code: str) -> str:
+    """``code`` in a fresh interpreter that imports this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return done.stdout
+
+
+def test_a_narrow_run_starts_no_thread(tmp_path):
+    out = run_python(
+        "import threading\n"
+        "from clapping_sim import harness\n"
+        "cfg = harness.logistic_benchmark_config('clapping_fu', total_steps=400, log_every=100)\n"
+        f"harness.run_experiment(cfg, {str(tmp_path / 'm.csv')!r})\n"
+        "print([t.name for t in threading.enumerate()])\n")
+    assert out.split() == ["['MainThread']"]
+
+
+def test_import_loads_no_executor_logging_or_queue():
+    out = run_python("import sys, clapping_sim\n"
+                     "print(sorted({'concurrent.futures', 'logging', 'queue'} & set(sys.modules)))")
+    assert out.split() == ["[]"]
