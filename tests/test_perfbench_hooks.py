@@ -203,18 +203,18 @@ def traced_wide_run():
     return per_op, threads
 
 
-def test_split_products_keep_the_tracer_on_the_main_thread(monkeypatch):
-    """The wide stage products run half on a helper thread. The helper
-    calls only np.matmul, so every traced call still opens and closes its
-    span on the main thread, in order, and each op records the same spans
-    as with one CPU allowed, where nothing is split."""
-    monkeypatch.setattr(stages, "_helpers", {})
+def test_split_products_keep_the_tracer_on_the_main_thread(matmul_split):
+    """With BLAS on one thread, as perfbench runs it, the wide stage products
+    run half on a helper thread. The helper calls only np.matmul, so every
+    traced call still opens and closes its span on the main thread, in
+    order, and each op records the same spans as with one CPU allowed,
+    where nothing is split."""
+    matmul_split(threads=1, cpus=(0, 1))
     two_cpus, threads = traced_wide_run()
-    assert os.getpid() in stages._helpers  # the products were split
+    assert stages._helpers[os.getpid()] is not None  # the products were split
     assert threads == {threading.main_thread().ident}
-    monkeypatch.setattr(stages, "_helpers", {})
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    matmul_split(threads=1, cpus=(0,))
     one_cpu, _ = traced_wide_run()
-    assert stages._helpers == {}
+    assert stages._helpers == {os.getpid(): None}
     assert two_cpus == one_cpu
     assert two_cpus[("0", "stages.forward")] > 0

@@ -662,8 +662,9 @@ class TestSplitMatmul:
     thread; every bit must be that of the one call it replaces."""
 
     @pytest.mark.parametrize("rows", [128, 1024, 37])
-    def test_halves_match_one_call_bit_for_bit(self, rows, monkeypatch):
-        monkeypatch.setattr(st, "_helpers", {})
+    def test_halves_match_one_call_bit_for_bit(self, rows, matmul_split):
+        matmul_split(threads=1)
+        count = threading.active_count()
         rng = named_stream(20, "split")
         sides = {}
         for d_in, d_out in ((512, 512), (512, 256)):
@@ -680,11 +681,13 @@ class TestSplitMatmul:
                     assert np.array_equal(out.view(np.int64), want.ravel().view(np.int64))
         y = rng.standard_normal((rows, 512))  # y.T @ y, one call, runs as BLAS syrk
         assert np.array_equal(st._matmul(y.T, y).view(np.int64), (y.T @ y).view(np.int64))
-        assert os.getpid() in st._helpers  # the halves did run on the helper
+        assert st._helpers[os.getpid()] is not None  # the halves did run on the helper
+        assert threading.active_count() == count + 1  # one helper for all of them
         assert sides == {name: {"rows", "columns"} for name in sides}, sides
 
     @pytest.mark.parametrize("kind", sorted(PARAMETRIC))
-    def test_wide_stage_functions_match_the_oracle(self, kind):
+    def test_wide_stage_functions_match_the_oracle(self, kind, matmul_split):
+        matmul_split(threads=1)
         name, extra = PARAMETRIC[kind]
         stage = st.StageSpec(name, 512, 512 + bool(extra), extra)
         rng = named_stream(21, "split-stage")
@@ -697,25 +700,46 @@ class TestSplitMatmul:
         assert same_bits(st.stage_backward_weight(stage, y, w, v),
                          oracle_backward_weight(stage, y, w, v))
 
-    def test_one_cpu_runs_one_call_and_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(st, "_helpers", {})
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        threads = threading.active_count()
+    @pytest.mark.parametrize("threads, cpus", [(1, (0,)), (1, None), (2, (0, 1))],
+                             ids=["one-cpu", "no-sched-getaffinity", "two-blas-threads"])
+    def test_where_a_split_cannot_pay_one_call_runs_and_no_thread_starts(
+            self, threads, cpus, matmul_split):
+        """One CPU allowed, an OS without sched_getaffinity, or a BLAS that
+        spreads each product over the CPUs itself: no helper, same bits."""
+        matmul_split(threads, cpus)
+        count = threading.active_count()
         for a, b in stage_products(128, 512, 512, named_stream(22, "one-cpu")).values():
             assert np.array_equal(st._matmul(a, b).view(np.int64), (a @ b).view(np.int64))
-        assert st._helpers == {}
-        assert threading.active_count() == threads
+        assert st._helpers == {os.getpid(): None}
+        assert threading.active_count() == count
 
-    def test_an_error_in_the_helpers_half_reaches_the_caller(self):
+    def test_the_blas_thread_count_is_read_from_the_library_numpy_loaded(self, matmul_split):
+        """OPENBLAS_NUM_THREADS=1, as perfbench sets it, gives a helper where
+        two CPUs are allowed; 2 gives none. (The fixture, left uncalled,
+        only skips where numpy links another BLAS.)"""
+        code = ("import os, numpy as np\n"
+                "from clapping_sim import stages\n"
+                "os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "a = np.ones((128, 512))\n"
+                "assert (stages._matmul(a, a.T) == 512).all()\n"
+                "print(stages._helper() is not None)\n")
+        got = {n: run_python(code, OPENBLAS_NUM_THREADS=n).split() for n in ("1", "2")}
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        # OpenBLAS starts at most one thread per CPU the process may run on
+        assert got == {"1": ["True"], "2": [str(cpus < 2)]}
+
+    def test_an_error_in_the_helpers_half_reaches_the_caller(self, matmul_split):
+        matmul_split(threads=1)
         a, b = stage_products(128, 512, 512, named_stream(23, "split-error"))["forward"]
         with pytest.raises(ValueError):  # only the helper's column half is mis-shaped
             st._matmul(a, b, out=np.empty((128, 600)))
         assert np.array_equal(st._matmul(a, b).view(np.int64), (a @ b).view(np.int64))
 
 
-def run_python(code: str) -> str:
-    """``code`` in a fresh interpreter that imports this checkout's package."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+def run_python(code: str, **env: str) -> str:
+    """``code`` in a fresh interpreter that imports this checkout's package,
+    with ``env`` added to the environment."""
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
@@ -732,7 +756,7 @@ def test_a_narrow_run_starts_no_thread(tmp_path):
     assert out.split() == ["['MainThread']"]
 
 
-def test_import_loads_no_executor_logging_or_queue():
+def test_import_loads_no_executor_or_logging():
     out = run_python("import sys, clapping_sim\n"
-                     "print(sorted({'concurrent.futures', 'logging', 'queue'} & set(sys.modules)))")
+                     "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
     assert out.split() == ["[]"]
