@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import wire
+from . import halves, wire
 from .errors import ConfigurationError, ContractViolation
 
 IDENTITY = "identity"
@@ -38,6 +38,7 @@ INJECT_UNIFORM = "inject_uniform"
 
 NATURAL_EXP_MIN = -63
 NATURAL_EXP_MAX = 63
+_SPLIT_ENTRIES = 3 << 14  # batch entries above which compress_batch may run as two halves
 
 
 @dataclass(frozen=True)
@@ -303,11 +304,23 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
 def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None):
     """Row-wise compression of a (B, d) array: (reconstruction, payload
     bytes, value bytes), summed over rows. Rows match compress() bit for
-    bit; a stochastic kind draws the whole batch in one call."""
+    bit; a stochastic kind draws the whole batch in one call. A
+    deterministic kind other than identity, on more than _SPLIT_ENTRIES
+    entries, runs on the two row halves at once where ``halves.helper()``
+    gives a helper."""
     x = _check_input(spec, x)
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
-    recon, _ = KIND_TABLE[spec.kind].rows(x, spec.arg, rng)
+    rows = KIND_TABLE[spec.kind].rows
+    # identity is one copy, which halves only make slower
+    if (x.size > _SPLIT_ENTRIES and not spec.stochastic and spec.kind != IDENTITY
+            and x.shape[0] > 1 and (jobs := halves.helper()) is not None):
+        h = x.shape[0] // 2
+        (top, _), (bottom, _) = halves.run(jobs, rows, (x[:h], spec.arg, None),
+                                           (x[h:], spec.arg, None), whole=(x, spec.arg, None))
+        recon = np.concatenate((top, bottom))
+    else:
+        recon, _ = rows(x, spec.arg, rng)
     if spec.fmt == wire.FMT_COMPOSE:
         payload, values = wire.sizes(spec.fmt, x.shape[1], np.count_nonzero(recon, axis=-1),
                                      spec.wire_bits, spec.value_fmt)

@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import compressors as comp
+from . import halves
 from . import stages as st
 from . import wire
 from .errors import (ConfigurationError, ContractViolation, DivergenceError,
@@ -331,7 +332,10 @@ class PipelineEngine:
             plan = self.plans[e - 1]  # worker 1's input is the data rows: no adjoint
             v = st.pull_back(plan.stages, tapes.pop(), plan.params, v, plan.stage_grads, e > 1)
             if len(plan.grad):  # a worker without parameters has nothing to update
-                np.divide(plan.grad, self.B, out=plan.grad)
+                if len(plan.grad) > halves.SPLIT_LEN:  # the batch mean, maybe in two halves
+                    halves.in_place(_divide, (plan.grad,), self.B)
+                else:
+                    np.divide(plan.grad, self.B, out=plan.grad)
                 self._update_worker(e, plan.grad, gamma, m_t)
             if e > 1:
                 v = self.backward_exchange(e - 2, v, refreshed)
@@ -351,6 +355,10 @@ class PipelineEngine:
     def run(self, steps: int | None = None) -> None:
         for _ in range(self.config.total_steps if steps is None else steps):
             self.run_iteration()
+
+
+def _divide(x: np.ndarray, n: int) -> None:
+    np.divide(x, n, out=x)
 
 
 # Send functions, one per mode: (link, x, fresh_rows, sample_idx) ->

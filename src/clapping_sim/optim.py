@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import halves
 from .errors import ConfigurationError
 from .sampling import Schedule
 
@@ -48,9 +49,19 @@ class OptimizerConfig:
 
 def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, gamma: float):
     """One momentum-SGD update, in place: u and w receive the new values
-    and grad is consumed as scratch. Returns (u, w)."""
+    and grad is consumed as scratch. Returns (u, w). A vector longer than
+    ``halves.SPLIT_LEN`` goes to ``halves.in_place``, which may update its
+    two halves at once."""
     if not 0.0 < m_t <= 1.0 or gamma <= 0.0:
         raise ConfigurationError("need m_t in (0, 1] and gamma > 0")
+    if getattr(u, "size", 0) > halves.SPLIT_LEN:
+        halves.in_place(_momentum, (u, w, grad), m_t, gamma)
+    else:
+        _momentum(u, w, grad, m_t, gamma)
+    return u, w
+
+
+def _momentum(u, w, grad, m_t, gamma):
     # (1 - m_t) * u + m_t * grad, then w - gamma * u_new, in that order
     # (so in the same bits as the textbook expression)
     u *= 1.0 - m_t
@@ -58,7 +69,6 @@ def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, 
     u += grad
     np.multiply(u, gamma, out=grad)
     w -= grad
-    return u, w
 
 
 def adam_update(
@@ -70,10 +80,19 @@ def adam_update(
     (u, s, w).
 
     Accepts degenerate beta = 1 or eps = 0 so single-step reductions can
-    be exercised directly; run-level configs enforce the open ranges.
+    be exercised directly; run-level configs enforce the open ranges. Splits
+    as ``momentum_update`` does.
     """
     if gamma <= 0.0 or eps < 0.0 or not (0.0 < beta1 <= 1.0 and 0.0 < beta2 <= 1.0):
         raise ConfigurationError("need gamma > 0, eps >= 0, betas in (0, 1]")
+    if getattr(u, "size", 0) > halves.SPLIT_LEN:
+        halves.in_place(_adam, (u, s, w, grad), beta1, beta2, eps, gamma)
+    else:
+        _adam(u, s, w, grad, beta1, beta2, eps, gamma)
+    return u, s, w
+
+
+def _adam(u, s, w, grad, beta1, beta2, eps, gamma):
     # the textbook expressions, operation for operation:
     # u = (1 - b1) u + b1 g, s = (1 - b2) s + b2 g**2, w - gamma u / sqrt(s + eps)
     step = np.multiply(grad, beta1)
@@ -88,4 +107,3 @@ def adam_update(
     np.multiply(u, gamma, out=step)
     step /= grad
     w -= step
-    return u, s, w

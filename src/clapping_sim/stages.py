@@ -28,15 +28,12 @@ input is dropped once they have run. ``pull_back`` is the backward loop.
 
 from __future__ import annotations
 
-import ctypes
-import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
+from . import halves
 from .errors import ConfigurationError, ContractViolation
 
 LINEAR = "linear"
@@ -143,59 +140,22 @@ def _matrix(stage: StageSpec, w: np.ndarray) -> np.ndarray:
 
 
 _SPLIT_MACS = 1 << 22  # multiply-adds above which _matmul may run as two halves
-_helpers: dict = {}  # pid -> its matmul helper's job queue, or None if it splits nothing
-
-
-def _helper() -> queue.SimpleQueue | None:
-    """This process's helper job queue, set up once per process id, so a
-    forked child starts its own. None, and no thread, unless two CPUs are
-    allowed and numpy's OpenBLAS runs one thread: one that runs more spreads
-    each product over the CPUs itself, and a split only slows it."""
-    if os.getpid() not in _helpers:
-        try:  # numpy's core module resolves the symbols of the BLAS it links
-            lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-            threads = lib.scipy_openblas_get_num_threads64_()
-        except (AttributeError, OSError):  # another BLAS, or another numpy layout
-            threads = None
-        cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)  # Linux only
-        split = len(cpus) > 1 and threads == 1
-        jobs = _helpers[os.getpid()] = queue.SimpleQueue() if split else None
-        if jobs is not None:
-            threading.Thread(target=_help, args=(jobs,), name="matmul-half", daemon=True).start()
-    return _helpers[os.getpid()]
-
-
-def _help(jobs: queue.SimpleQueue) -> None:
-    while True:
-        a, b, out, done = jobs.get()
-        try:
-            np.matmul(a, b, out=out)
-            done.put(None)
-        except Exception as exc:  # raised again by the caller
-            done.put(exc)
-        del a, b, out, done  # hold no array between jobs
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``np.matmul(a, b, out=out)``. A 2-D product of more than _SPLIT_MACS
     multiply-adds runs as two halves of its longer output side at once, one
-    on the helper thread, if ``_helper()`` gives one. Each output element is
-    the same BLAS dot product either way, so the bits match one call."""
-    if a.size * b.shape[1] <= _SPLIT_MACS or a.ndim != 2 or (jobs := _helper()) is None:
+    on the helper thread, if ``halves.helper()`` gives one. Each output
+    element is the same BLAS dot product either way, so the bits match one
+    call."""
+    if a.size * b.shape[1] <= _SPLIT_MACS or a.ndim != 2 or (jobs := halves.helper()) is None:
         return a @ b if out is None else np.matmul(a, b, out=out)
     m, n = a.shape[0], b.shape[1]
     out = np.empty((m, n), np.result_type(a, b)) if out is None else out
     h = max(m, n) // 2
     mine, theirs = (((a[:h], b, out[:h]), (a[h:], b, out[h:])) if m >= n else
                     ((a, b[:, :h], out[:, :h]), (a, b[:, h:], out[:, h:])))
-    done: queue.SimpleQueue = queue.SimpleQueue()
-    jobs.put(theirs + (done,))
-    try:
-        np.matmul(*mine)
-    finally:
-        exc = done.get()
-    if exc is not None:
-        raise exc
+    halves.run(jobs, np.matmul, mine, theirs, whole=(a, b, out))
     return out
 
 

@@ -1,18 +1,21 @@
 import ctypes
 import os
+import threading
 
 import numpy as np
 import pytest
 
-from clapping_sim import stages
+from clapping_sim import compressors as comp
+from clapping_sim import engine, halves, optim
 
 
 @pytest.fixture
 def matmul_split(monkeypatch):
-    """``matmul_split(threads, cpus)`` sets numpy's OpenBLAS to ``threads``
-    and the CPUs ``os.sched_getaffinity`` reports to ``cpus`` (None removes
-    it, as on an OS without it), then clears ``stages._helpers`` so that
-    ``stages._matmul`` looks both up again. Undone after the test."""
+    """Whether work splits into halves: ``matmul_split(threads, cpus)`` sets
+    numpy's OpenBLAS to ``threads`` and the CPUs ``os.sched_getaffinity``
+    reports to ``cpus`` (None removes it, as on an OS without it), then
+    clears ``halves._helpers`` so that ``halves.helper()`` looks both up
+    again. Undone after the test."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
@@ -22,7 +25,7 @@ def matmul_split(monkeypatch):
 
     def setup(threads=1, cpus=(0, 1)):
         put(threads)
-        monkeypatch.setattr(stages, "_helpers", {})
+        monkeypatch.setattr(halves, "_helpers", {})
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
@@ -30,3 +33,24 @@ def matmul_split(monkeypatch):
 
     yield setup
     put(before)
+
+
+@pytest.fixture
+def half_calls(monkeypatch):
+    """A list that gets ``(name, thread id)`` for every call of the private
+    functions the optimizer, the engine's gradient scaling and
+    ``compress_batch`` run as halves: ``optim._momentum``, ``optim._adam``,
+    ``engine._divide`` and each kind's rows function."""
+    calls = []
+
+    def spy(name, fn):
+        def spied(*args):
+            calls.append((name, threading.get_ident()))
+            return fn(*args)
+        return spied
+
+    for owner, name in ((optim, "_momentum"), (optim, "_adam"), (engine, "_divide")):
+        monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+    for kind, row in list(comp.KIND_TABLE.items()):
+        monkeypatch.setitem(comp.KIND_TABLE, kind, row._replace(rows=spy(kind, row.rows)))
+    return calls

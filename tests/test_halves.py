@@ -1,0 +1,216 @@
+"""The optimizer update, the engine's gradient scaling and compress_batch
+run as two halves, one on the helper thread, where ``halves.helper()``
+gives one (the ``matmul_split`` fixture sets that up). Each result must be
+that of the one call it replaces, bit for bit, and so must each error.
+``half_calls`` records which thread ran each half."""
+
+import threading
+
+import numpy as np
+import pytest
+
+from clapping_sim import compressors as comp
+from clapping_sim import halves, stages
+from clapping_sim.engine import CLAPPING_FC, AlgoConfig, PipelineEngine
+from clapping_sim.errors import ContractViolation, DivergenceError
+from clapping_sim.optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
+from clapping_sim.rng import named_stream
+from clapping_sim.sampling import BATCH_BATCHWISE, Schedule
+
+MAIN = threading.main_thread().ident
+ONE_CPU, TWO_CPUS = (0,), (0, 1)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def on_helper(calls, name=None):
+    """How many recorded calls (of ``name``) ran on the helper thread."""
+    return sum(ident != MAIN for n, ident in calls if name in (None, n))
+
+
+def per_cpus(matmul_split, fn):
+    """fn() with one CPU allowed, then with two; returns both results."""
+    got = []
+    for cpus in (ONE_CPU, TWO_CPUS):
+        matmul_split(threads=1, cpus=cpus)
+        got.append(fn())
+    return got
+
+
+L = halves.SPLIT_LEN
+
+
+class TestUpdates:
+    @pytest.mark.parametrize("n", [L - 1, L, L + 1, 2 * L + 3])
+    @pytest.mark.parametrize("kind", ["momentum", "adam"])
+    def test_update_matches_one_call_bit_for_bit(self, kind, n, matmul_split, half_calls):
+        rng = named_stream(30, f"halves-{kind}")
+        state = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3) for _ in range(4)]
+        state[1] = np.abs(state[1])  # Adam's second moment
+
+        def update():
+            u, s, w, g = (a.copy() for a in state)
+            if kind == "momentum":
+                momentum_update(u, w, g, 0.37, 0.0125)
+                return u, w, g
+            adam_update(u, s, w, g, 0.9, 0.999, 1e-8, 0.0125)
+            return u, s, w, g
+
+        one, two = per_cpus(matmul_split, update)
+        for a, b in zip(one, two):
+            assert np.array_equal(bits(a), bits(b))
+        # split only above the constant, and then half of it on the helper
+        assert on_helper(half_calls) == (n > L)
+        assert len(half_calls) == 2 + (n > L)
+
+    def test_updates_on_shared_buffers_run_as_one_call(self, matmul_split, half_calls):
+        w0 = named_stream(31, "halves-shared").standard_normal(2 * L + 1)
+
+        def update():
+            w = w0.copy()
+            momentum_update(w[1:], w[:-1], w[1:].copy(), 0.5, 0.1)  # u and w overlap
+            return w
+
+        one, two = per_cpus(matmul_split, update)
+        assert np.array_equal(bits(one), bits(two))
+        assert on_helper(half_calls) == 0
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_halves_run_under_the_callers_error_state(self, half, matmul_split, half_calls):
+        """numpy's error state is per thread: the helper's half takes the
+        caller's, whichever half overflows (gamma * u, in multiply)."""
+        n = 2 * L + 1
+        u0 = named_stream(32, "halves-errstate").standard_normal(n)
+        u0[10 if half == "first" else n - 10] = 1e300
+
+        def update(**state):
+            u, w, g = u0.copy(), np.zeros(n), np.ones(n)
+            with np.errstate(**state):
+                momentum_update(u, w, g, 0.5, 1e10)
+            return w
+
+        # pytest turns any RuntimeWarning into an error, so this is silence
+        one, two = per_cpus(matmul_split, lambda: update(over="ignore"))
+        assert np.array_equal(bits(one), bits(two)) and np.isinf(two).sum() == 1
+        errors = []
+        for cpus in (ONE_CPU, TWO_CPUS):
+            matmul_split(threads=1, cpus=cpus)
+            with pytest.raises(FloatingPointError) as caught:
+                update(over="raise")
+            errors.append(str(caught.value))
+        assert errors == ["overflow encountered in multiply"] * 2
+        assert on_helper(half_calls) == 2
+
+
+SPECS = {
+    "identity": comp.identity_spec(),
+    "topk": comp.topk_spec(51),
+    "quant8": comp.quant_spec(8),
+    "natural": comp.natural_spec(),
+    "compose": comp.compose_spec(comp.topk_spec(51), comp.quant_spec(8)),
+}
+
+
+class TestCompressBatch:
+    @pytest.mark.parametrize("rows", [128, 97, 37, 1])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_batch_matches_one_call_bit_for_bit(self, name, rows, matmul_split, half_calls):
+        rng = named_stream(33, f"halves-{name}")
+        if name == "topk":  # four magnitudes: every row has more ties than free slots
+            x = rng.choice([-2.0, -1.0, 1.0, 2.0], size=(rows, 512))
+        else:
+            x = rng.standard_normal((rows, 512)) * 10.0 ** rng.integers(-3, 3, size=(rows, 1))
+        one, two = per_cpus(matmul_split, lambda: comp.compress_batch(SPECS[name], x))
+        assert np.array_equal(bits(one[0]), bits(two[0])) and one[1:] == two[1:]
+        split = x.size > comp._SPLIT_ENTRIES and rows > 1 and name != "identity"
+        assert bool(on_helper(half_calls)) == split
+        if name == "topk":
+            assert np.count_nonzero(one[0], axis=-1).tolist() == [51] * rows
+
+    @pytest.mark.parametrize("spec", [comp.randk_spec(51), comp.inject_uniform_spec(0.2),
+                                      comp.compose_spec(comp.randk_spec(51), comp.quant_spec(8)),
+                                      comp.compose_spec(comp.topk_spec(51),
+                                                        comp.inject_uniform_spec(0.2))],
+                             ids=["randk", "inject_uniform", "randk+quant", "topk+inject"])
+    def test_stochastic_kinds_draw_the_whole_batch_in_one_call(self, spec, matmul_split,
+                                                              half_calls):
+        x = named_stream(34, "halves-stochastic").standard_normal((128, 512))
+
+        def draw():
+            rng = named_stream(35, "halves-stream")
+            recon, nbytes, values = comp.compress_batch(spec, x, rng)
+            return recon, nbytes, values, rng.bit_generator.state
+
+        one, two = per_cpus(matmul_split, draw)
+        assert np.array_equal(bits(one[0]), bits(two[0])) and one[1:] == two[1:]
+        assert half_calls and on_helper(half_calls) == 0
+
+    def test_a_failing_half_gives_one_calls_exception(self, matmul_split, half_calls):
+        """Rows past float32's range in both halves: the text names the
+        peak over the whole batch, as one call's does, not one half's."""
+        x = named_stream(36, "halves-quant").standard_normal((128, 512))
+        x[10, 3], x[100, 7] = 1e39, -3e39
+        errors = []
+        for cpus in (ONE_CPU, TWO_CPUS):
+            matmul_split(threads=1, cpus=cpus)
+            with pytest.raises(ContractViolation) as caught:
+                comp.compress_batch(comp.quant_spec(8), x)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1] and "|x| = 3e+39" in errors[0]
+        assert on_helper(half_calls) == 1
+
+
+def wide_engine(kind):
+    """4 workers of width 512 with 128-row batches: every stage product,
+    update and compressor call is above its split constant."""
+    chain = stages.tanh_mlp_chain((512,) * 5, boundaries=(2, 4, 6))
+    X = named_stream(37, "halves-wide").standard_normal((256, 512))
+    opt = OptimizerConfig(kind, gamma=Schedule.constant(0.01), momentum=Schedule.constant(0.9))
+    cfg = AlgoConfig(variant=CLAPPING_FC, optimizer=opt,
+                     forward_compressors=(comp.topk_spec(51),) * 3,
+                     backward_compressors=(comp.quant_spec(8),) * 3,
+                     batch_size=128, total_steps=20, seed=3, sampler_rule=BATCH_BATCHWISE,
+                     p_schedule=Schedule.constant(0.1))
+    init = [0.05 * named_stream(38, "halves-init").standard_normal(chain.worker_param_dim(e))
+            for e in (1, 2, 3, 4)]
+    return PipelineEngine(chain, cfg, X, init_weights=init)
+
+
+class TestWideEngine:
+    @pytest.mark.parametrize("kind", [MOMENTUM_SGD, ADAM])
+    def test_twenty_steps_match_one_cpu_bit_for_bit(self, kind, matmul_split, half_calls):
+        def run():
+            eng = wide_engine(kind)
+            eng.run()
+            caches = [link.cache for links in eng.links for link in links]
+            return ([eng.flat_weights()] + eng.momentum + eng.second_moment + caches,
+                    eng.ledger.total_bytes())
+
+        one, two = per_cpus(matmul_split, run)
+        assert len(one[0]) == len(two[0]) == 4 + 4 * (kind == ADAM) + 7
+        for a, b in zip(one[0], two[0]):
+            assert np.array_equal(bits(a), bits(b))
+        assert one[1] == two[1]
+        update = "_momentum" if kind == MOMENTUM_SGD else "_adam"
+        # 20 steps: four workers' scaling and update, six compressor calls
+        assert [on_helper(half_calls, name) for name in ("_divide", update, "topk", "uniform_quant")] == (
+            [20 * 4, 20 * 4, 20 * 3, 20 * 3])
+
+    def test_divergence_texts_match_one_cpu(self, matmul_split):
+        """A wide quant link that cannot encode its message names it with
+        one call's text."""
+        errors = []
+        for cpus in (ONE_CPU, TWO_CPUS):
+            matmul_split(threads=1, cpus=cpus)
+            eng = wide_engine(MOMENTUM_SGD)
+            eng.run(2)
+            v = np.ones((128, 512))
+            v[3, 0], v[120, 1] = 5e38, 7e38
+            with pytest.raises(DivergenceError) as caught:
+                eng.backward_exchange(1, v, np.zeros(128, dtype=bool))
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("step 3: backward message at boundary 1, sent by worker 3: "
+                                    "uniform_quant: |x| = 7e+38")

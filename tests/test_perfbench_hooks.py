@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from clapping_sim import compressors as comp
-from clapping_sim import engine, stages, wire
+from clapping_sim import engine, halves, stages, wire
 from clapping_sim.engine import CLAPPING_FC, CLAPPING_FU, NO_COMP, AlgoConfig, PipelineEngine
 from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig
 from clapping_sim.rng import named_stream
@@ -203,18 +203,26 @@ def traced_wide_run():
     return per_op, threads
 
 
-def test_split_products_keep_the_tracer_on_the_main_thread(matmul_split):
-    """With BLAS on one thread, as perfbench runs it, the wide stage products
-    run half on a helper thread. The helper calls only np.matmul, so every
-    traced call still opens and closes its span on the main thread, in
-    order, and each op records the same spans as with one CPU allowed,
-    where nothing is split."""
+def test_split_products_keep_the_tracer_on_the_main_thread(matmul_split, half_calls):
+    """With BLAS on one thread, as perfbench runs it, the wide stage products,
+    the updates with their gradient scaling and the compressor calls run
+    half on a helper thread. The helper calls only numpy and private
+    functions, so every traced call still opens and closes its span on the
+    main thread, in order, and each op records the same spans as with one
+    CPU allowed, where nothing is split."""
     matmul_split(threads=1, cpus=(0, 1))
     two_cpus, threads = traced_wide_run()
-    assert stages._helpers[os.getpid()] is not None  # the products were split
+    assert halves._helpers[os.getpid()] is not None  # the products were split
     assert threads == {threading.main_thread().ident}
+    helper = Counter(name for name, ident in half_calls if ident != threading.main_thread().ident)
+    # three steps: four workers' scaling and update, six top-k calls
+    assert helper == {"_divide": 3 * 4, "_momentum": 3 * 4, "topk": 3 * 6}
     matmul_split(threads=1, cpus=(0,))
+    half_calls.clear()
     one_cpu, _ = traced_wide_run()
-    assert stages._helpers == {os.getpid(): None}
+    assert halves._helpers == {os.getpid(): None}
+    assert {ident for _, ident in half_calls} == {threading.main_thread().ident}
     assert two_cpus == one_cpu
     assert two_cpus[("0", "stages.forward")] > 0
+    assert two_cpus[("0", "optim.update")] == 4
+    assert two_cpus[("0", "compressors.compress_batch")] == 6

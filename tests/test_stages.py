@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from hypothesis.extra import numpy as hnp
 
+from clapping_sim import halves
 from clapping_sim import stages as st
 from clapping_sim.errors import ConfigurationError, ContractViolation
 from clapping_sim.rng import named_stream
@@ -681,7 +682,7 @@ class TestSplitMatmul:
                     assert np.array_equal(out.view(np.int64), want.ravel().view(np.int64))
         y = rng.standard_normal((rows, 512))  # y.T @ y, one call, runs as BLAS syrk
         assert np.array_equal(st._matmul(y.T, y).view(np.int64), (y.T @ y).view(np.int64))
-        assert st._helpers[os.getpid()] is not None  # the halves did run on the helper
+        assert halves._helpers[os.getpid()] is not None  # the halves did run on the helper
         assert threading.active_count() == count + 1  # one helper for all of them
         assert sides == {name: {"rows", "columns"} for name in sides}, sides
 
@@ -710,7 +711,7 @@ class TestSplitMatmul:
         count = threading.active_count()
         for a, b in stage_products(128, 512, 512, named_stream(22, "one-cpu")).values():
             assert np.array_equal(st._matmul(a, b).view(np.int64), (a @ b).view(np.int64))
-        assert st._helpers == {os.getpid(): None}
+        assert halves._helpers == {os.getpid(): None}
         assert threading.active_count() == count
 
     def test_the_blas_thread_count_is_read_from_the_library_numpy_loaded(self, matmul_split):
@@ -718,21 +719,26 @@ class TestSplitMatmul:
         two CPUs are allowed; 2 gives none. (The fixture, left uncalled,
         only skips where numpy links another BLAS.)"""
         code = ("import os, numpy as np\n"
-                "from clapping_sim import stages\n"
+                "from clapping_sim import halves, stages\n"
                 "os.sched_getaffinity = lambda pid: {0, 1}\n"
                 "a = np.ones((128, 512))\n"
                 "assert (stages._matmul(a, a.T) == 512).all()\n"
-                "print(stages._helper() is not None)\n")
+                "print(halves.helper() is not None)\n")
         got = {n: run_python(code, OPENBLAS_NUM_THREADS=n).split() for n in ("1", "2")}
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         # OpenBLAS starts at most one thread per CPU the process may run on
         assert got == {"1": ["True"], "2": [str(cpus < 2)]}
 
     def test_an_error_in_the_helpers_half_reaches_the_caller(self, matmul_split):
+        """As one call's error: the whole product runs again, unsplit."""
         matmul_split(threads=1)
         a, b = stage_products(128, 512, 512, named_stream(23, "split-error"))["forward"]
-        with pytest.raises(ValueError):  # only the helper's column half is mis-shaped
-            st._matmul(a, b, out=np.empty((128, 600)))
+        out = np.empty((128, 600))
+        with pytest.raises(ValueError) as one_call:
+            np.matmul(a, b, out=out)
+        with pytest.raises(ValueError) as split:  # only the helper's column half is mis-shaped
+            st._matmul(a, b, out=out)
+        assert str(split.value) == str(one_call.value)
         assert np.array_equal(st._matmul(a, b).view(np.int64), (a @ b).view(np.int64))
 
 
