@@ -14,6 +14,7 @@ import sys
 from . import datasets as ds
 from . import harness
 from . import verify as vf
+from .engine import VARIANTS
 from .errors import ConfigurationError, DivergenceError
 
 
@@ -36,6 +37,8 @@ def _cmd_fstar(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed: must be >= 0, got {args.seed}")
     reports = vf.run_suite(args.suite, seed=args.seed, out_dir=args.out)
     for rep in reports:
         print(rep.summary())
@@ -53,6 +56,8 @@ def _cmd_mem_calc(args) -> int:
           f"({out['clapping_gib']:.2f} GiB)")
     print(f"per-sample-cache overhead: {out['aqsgd_bytes']:.0f} bytes "
           f"({out['aqsgd_gib']:.2f} GiB)")
+    for variant in VARIANTS:
+        print(f"  {variant + ':':<25}{out[variant]:.0f} bytes ({out[variant] / 2**30:.2f} GiB)")
     return 0
 
 

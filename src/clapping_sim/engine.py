@@ -68,6 +68,12 @@ class VariantPolicy(NamedTuple):
     lazy: bool              # lazy sampling; the others draw fresh every step
     fresh_rows_dense: bool  # EF sends rows drawn fresh this step uncompressed
 
+    def cache_rows(self, batch: int, samples: int) -> tuple[int, int]:
+        """Cache rows each endpoint of a link keeps, (forward, backward):
+        ``ef`` one per batch row, ``per_sample_ef`` one per dataset row."""
+        rows = {MODE_EF: batch, MODE_PER_SAMPLE_EF: samples}
+        return rows.get(self.forward, 0), rows.get(self.backward, 0)
+
 
 VARIANT_POLICY = {
     NO_COMP: VariantPolicy(MODE_DENSE, MODE_DENSE, lazy=False, fresh_rows_dense=False),
@@ -133,8 +139,8 @@ class WorkerPlan(NamedTuple):
 
 class Link(NamedTuple):
     """One boundary in one direction, compiled at engine init. ``send``
-    is its mode's send function (``_SEND``); the cache is (B, d) for
-    ``ef``, (n, d) for ``per_sample_ef``, else None."""
+    is its mode's send function (``_SEND``); the cache has the rows
+    ``VariantPolicy.cache_rows`` gives its mode, or is None for none."""
 
     send: Callable
     spec: comp.CompressorSpec
@@ -202,11 +208,11 @@ class PipelineEngine:
             mode = self.policy[direction]  # VariantPolicy starts (forward, backward)
             if mode == MODE_DENSE:  # sent direct, by identity compression
                 mode, spec = MODE_DIRECT, _DENSE
-            rows = {MODE_EF: self.B, MODE_PER_SAMPLE_EF: n_samples}.get(mode)
+            rows = self.policy.cache_rows(self.B, n_samples)[direction]
             send = (_send_ef_fresh_dense if mode == MODE_EF and self.policy.fresh_rows_dense
                     else _SEND[mode])
             return Link(send, spec, named_stream(config.seed, stream),
-                        None if rows is None else np.zeros((rows, dim)))
+                        np.zeros((rows, dim)) if rows else None)
 
         # indexed [wire.FORWARD or wire.BACKWARD][boundary]
         self.links = tuple([link(d, i, spec) for i, spec in enumerate(specs)] for d, specs in

@@ -32,7 +32,7 @@ import numpy as np
 from . import compressors as comp
 from . import datasets as ds
 from . import stages as st
-from .engine import VARIANTS, AlgoConfig, PipelineEngine
+from .engine import AQ_SGD, CLAPPING_FC, VARIANT_POLICY, VARIANTS, AlgoConfig, PipelineEngine
 from .errors import ConfigurationError
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig
 from .rng import named_stream
@@ -368,27 +368,21 @@ def memory_calculator(
     workers: int, batch: int, samples: int, seq_len: int, hidden: int,
     bytes_per_element: int = 2,
 ) -> dict[str, float]:
-    """Communication-cache overhead of batch-cache error feedback versus
-    a per-sample activation cache.
-
-    The batch cache holds the current batch's activations and activation
-    gradients on both endpoints of every boundary:
-    4 * (workers - 1) * batch * seq_len * hidden elements. The per-sample
-    cache holds one activation per dataset row on both endpoints:
-    2 * (workers - 1) * samples * seq_len * hidden elements.
-    """
-    if min(workers, batch, samples, seq_len, hidden, bytes_per_element) < 1:
-        raise ConfigurationError("memory calculator inputs must be positive")
-    links = workers - 1
-    clapping = 4 * links * batch * seq_len * hidden * bytes_per_element
-    aqsgd = 2 * links * samples * seq_len * hidden * bytes_per_element
-    gib = 1024.0**3
-    return {
-        "clapping_bytes": float(clapping),
-        "aqsgd_bytes": float(aqsgd),
-        "clapping_gib": clapping / gib,
-        "aqsgd_gib": aqsgd / gib,
-    }
+    """Communication-cache bytes of every variant: the rows
+    ``VariantPolicy.cache_rows`` gives each direction, of seq_len * hidden
+    elements, at both endpoints of each of the workers - 1 boundaries.
+    ``clapping_*`` is the lazy variants' batch cache, ``aqsgd_*`` the
+    per-sample cache."""
+    if workers < 2 or min(batch, samples, seq_len, hidden, bytes_per_element) < 1:
+        raise ConfigurationError("memory calculator: needs workers >= 2 and every other input >= 1")
+    row_bytes = 2 * (workers - 1) * seq_len * hidden * bytes_per_element
+    try:
+        out = {variant: float(row_bytes * sum(policy.cache_rows(batch, samples)))
+               for variant, policy in VARIANT_POLICY.items()}
+    except OverflowError:
+        raise ConfigurationError("memory calculator: a cache size exceeds float range") from None
+    return {"clapping_bytes": out[CLAPPING_FC], "clapping_gib": out[CLAPPING_FC] / 2**30,
+            "aqsgd_bytes": out[AQ_SGD], "aqsgd_gib": out[AQ_SGD] / 2**30, **out}
 
 
 # -- reference benchmark presets -------------------------------------------

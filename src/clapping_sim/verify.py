@@ -468,16 +468,17 @@ def run_suite(name: str, seed: int = 0, out_dir: str | Path | None = None) -> li
             check_sampler_stats(0.4, steps=10_000, seed=seed),
         ],
     }
-    if name == "all":
-        reports = [r for key in suites for r in suites[key]()]
-    elif name in suites:
-        reports = suites[name]()
-    else:
+    if name != "all" and name not in suites:
         raise ConfigurationError(f"unknown suite {name!r}; choose from "
                                  f"{', '.join(list(suites) + ['all'])}")
+    if out_dir is not None:  # made before the suite runs, so a bad path costs no run
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"{out_dir}: cannot write report directory ({exc.strerror})") from None
+    reports = [r for key in (suites if name == "all" else (name,)) for r in suites[key]()]
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         for i, rep in enumerate(reports):
-            (out / f"{rep.suite}-{i}.json").write_text(rep.to_json())
+            (Path(out_dir) / f"{rep.suite}-{i}.json").write_text(rep.to_json())
     return reports

@@ -64,12 +64,27 @@ def test_mem_calc_subcommand(capsys):
     assert "batch-cache overhead" in out and "per-sample-cache overhead" in out
 
 
-@pytest.mark.parametrize("command", ["run", "fstar"])
-def test_missing_config_file_is_one_config_error_line(tmp_path, capsys, command):
-    missing = tmp_path / "nope.cfg"
-    assert main([command, str(missing)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"config error: {missing}: cannot read")
+MEM_CALC = ["mem-calc", "--batch", "4", "--seq", "2", "--hidden", "2"]
+
+
+@pytest.mark.parametrize("argv, says", [
+    (["run", "{missing}"], "{missing}: cannot read"),
+    (["fstar", "{missing}"], "{missing}: cannot read"),
+    (MEM_CALC + ["--workers", "1", "--samples", "8"], "memory calculator: needs workers >= 2"),
+    (MEM_CALC + ["--workers", "2", "--samples", "1" + "0" * 400],  # bytes beyond float range
+     "memory calculator: a cache size exceeds float range"),
+    (["verify", "sampler", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+    (["verify", "sampler", "--out", "{file}/reports"],
+     "{file}/reports: cannot write report directory"),
+], ids=["run-missing-config", "fstar-missing-config", "mem-calc-one-worker",
+        "mem-calc-float-overflow", "verify-negative-seed", "verify-out-under-file"])
+def test_bad_input_is_one_config_error_line(tmp_path, capsys, argv, says):
+    paths = {"missing": tmp_path / "nope.cfg", "file": tmp_path / "file"}
+    paths["file"].write_text("")
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""  # refused before anything ran
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {says.format(**paths)}")
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -4,8 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from clapping_sim import compressors as comp
 from clapping_sim import harness as H
+from clapping_sim import stages as st
+from clapping_sim.engine import VARIANTS, AlgoConfig, PipelineEngine
 from clapping_sim.errors import ConfigurationError
+from clapping_sim.optim import MOMENTUM_SGD, OptimizerConfig
+from clapping_sim.sampling import BATCH_BATCHWISE, Schedule
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -227,6 +232,28 @@ class TestMemoryCalculator:
     def test_positive_inputs_required(self):
         with pytest.raises(ConfigurationError):
             H.memory_calculator(workers=0, batch=1, samples=1, seq_len=1, hidden=1)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("workers, batch, samples, seq_len, hidden",
+                         [(2, 3, 10, 2, 3), (3, 4, 7, 1, 5), (4, 2, 9, 3, 2)])
+def test_memory_calculator_counts_the_engine_caches(variant, workers, batch, samples, seq_len,
+                                                    hidden):
+    """The calculator's bytes at one byte per element are the elements a
+    built engine caches, once per endpoint, with every boundary
+    seq_len * hidden wide."""
+    width = seq_len * hidden
+    chain = st.tanh_mlp_chain((3,) + (width,) * (workers - 1), tuple(range(2, 2 * workers, 2)))
+    assert [chain.boundary_dim(i) for i in range(workers - 1)] == [width] * (workers - 1)
+    specs = (comp.identity_spec(),) * (workers - 1)
+    opt = OptimizerConfig(MOMENTUM_SGD, gamma=Schedule.constant(0.1),
+                          momentum=Schedule.constant(0.1))
+    algo = AlgoConfig(variant, opt, specs, specs, batch_size=batch, sampler_rule=BATCH_BATCHWISE)
+    engine = PipelineEngine(chain, algo, np.zeros((samples, chain.input_dim)))
+    cached = sum(link.cache.size for links in engine.links for link in links
+                 if link.cache is not None)
+    out = H.memory_calculator(workers, batch, samples, seq_len, hidden, bytes_per_element=1)
+    assert out[variant] == 2 * cached
 
 
 class TestBenchmarkPreset:
