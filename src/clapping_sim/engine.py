@@ -125,9 +125,12 @@ class AlgoConfig:
 class WorkerPlan(NamedTuple):
     """One worker compiled at engine init: its stages, each stage's
     parameters as a view into the worker's flat weight vector, a flat
-    gradient buffer with one view per stage, and the stages and params
-    the forward pass runs: all but the last worker's final stage, whose
-    output the backward pass never reads (it seeds the adjoint with 1)."""
+    gradient with one view per stage, and the stages and params the
+    forward pass runs: all but the last worker's final stage, whose
+    output the backward pass never reads (it seeds the adjoint with 1).
+    Every worker's gradient is a view of one engine-wide scratch from
+    offset 0: the backward sweep finishes a worker's gradient (pull-back,
+    batch mean, update) before the next worker's pull-back writes it."""
 
     stages: tuple[st.StageSpec, ...]
     params: list[np.ndarray]
@@ -233,9 +236,10 @@ class PipelineEngine:
             [np.zeros_like(w) for w in self.weights] if config.optimizer.kind == ADAM else []
         )
         self.plans: list[WorkerPlan] = []
+        scratch = np.zeros(max(len(w) for w in self.weights))  # see WorkerPlan
         for e, w in enumerate(self.weights, start=1):
             stages = chain.worker_stages(e)
-            params, grad = chain.split_params(stages, w), np.zeros_like(w)
+            params, grad = chain.split_params(stages, w), scratch[: len(w)]
             n = len(stages) - (e == self.E)
             self.plans.append(WorkerPlan(stages, params, grad, chain.split_params(stages, grad),
                                          stages[:n], params[:n]))

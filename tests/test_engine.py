@@ -663,6 +663,35 @@ class TestMemory:
         assert not any(np.array_equal(a, b) for a, b in zip(eng.weights, before))
         assert eng.second_moment == []  # only Adam keeps a second moment
 
+    def test_workers_share_one_gradient_scratch(self):
+        # four workers of unequal size: the widest is the second
+        chain = st.tanh_mlp_chain((64, 256, 128, 64, 16), boundaries=(2, 4, 6))
+        dims = [chain.worker_param_dim(e) for e in range(1, 5)]
+        X = named_stream(6, "scratch").standard_normal((64, 64))
+        init = [np.zeros(d) for d in dims]
+        cfg = make_config(CLAPPING_FC, chain, p=0.5, batch=32,
+                          fwd=tuple(comp.topk_spec(8) for _ in range(3)),
+                          bwd=tuple(comp.topk_spec(8) for _ in range(3)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            eng = PipelineEngine(chain, cfg, X, init_weights=init)
+            built = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+
+        scratch = eng.plans[0].grad.base
+        assert scratch is not None and len(scratch) == max(dims)
+        for plan, d in zip(eng.plans, dims):
+            assert plan.grad.base is scratch and len(plan.grad) == d
+            assert plan.grad.ctypes.data == scratch.ctypes.data  # from offset 0
+            assert all(g.base is scratch for g in plan.stage_grads if len(g))
+        caches = sum(link.cache.nbytes for links in eng.links for link in links)
+        # weights and momentum per worker, one scratch, the link caches; the
+        # slack is far below the 203 KiB that per-worker gradients would add
+        expected = 2 * 8 * sum(dims) + 8 * max(dims) + caches
+        assert built < expected + 32 * 1024, (built, expected)
+
 
 class TestMisc:
     def test_readme_variant_table_matches_policy(self):
