@@ -298,7 +298,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
                              inner=_value_block(spec.value_fmt, spec.wire_bits, recon, fields, idx))
     else:
         body = _value_block(spec.fmt, spec.wire_bits, recon, fields, slice(None))
-    return CompressedPayload(recon, wire.body_size(body), wire.value_only_size(body), body)
+    return CompressedPayload(recon, *wire.body_sizes(body), body)
 
 
 def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None):

@@ -31,6 +31,7 @@ instead of per batch row.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itruediv
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -331,8 +332,8 @@ class PipelineEngine:
             if e < self.E:  # pop the output; what remains is the backward tape
                 y = self.forward_exchange(e - 1, tapes[-1].pop(), refreshed, indices)
 
-        gamma = self.config.optimizer.gamma.value_at(t)
-        m_t = self.config.optimizer.momentum.value_at(t)
+        opt = self.config.optimizer
+        gamma, m_t = opt.gamma.value_at(t), opt.momentum.value_at(t)
         if t in self.config.momentum_reset_steps:
             for u in self.momentum:
                 u[:] = 0.0
@@ -343,32 +344,25 @@ class PipelineEngine:
             v = st.pull_back(plan.stages, tapes.pop(), plan.params, v, plan.stage_grads, e > 1)
             if len(plan.grad):  # a worker without parameters has nothing to update
                 if len(plan.grad) > halves.SPLIT_LEN:  # the batch mean, maybe in two halves
-                    halves.in_place(_divide, (plan.grad,), self.B)
+                    halves.in_place(itruediv, (plan.grad,), self.B)
                 else:
                     np.divide(plan.grad, self.B, out=plan.grad)
-                self._update_worker(e, plan.grad, gamma, m_t)
+                # in place: the plan's parameter views stay valid
+                u, w = self.momentum[e - 1], self.weights[e - 1]
+                if opt.kind == MOMENTUM_SGD:
+                    momentum_update(u, w, plan.grad, m_t, gamma)
+                else:
+                    adam_update(u, self.second_moment[e - 1], w, plan.grad, m_t, opt.beta2,
+                                opt.eps, gamma)
             if e > 1:
                 v = self.backward_exchange(e - 2, v, refreshed)
 
         self.t = t
         return f_fu
 
-    def _update_worker(self, e: int, grad: np.ndarray, gamma: float, m_t: float) -> None:
-        opt, i = self.config.optimizer, e - 1
-        # in place: the plan's parameter views stay valid
-        if opt.kind == MOMENTUM_SGD:
-            momentum_update(self.momentum[i], self.weights[i], grad, m_t, gamma)
-        else:
-            adam_update(self.momentum[i], self.second_moment[i], self.weights[i], grad,
-                        m_t, opt.beta2, opt.eps, gamma)
-
     def run(self, steps: int | None = None) -> None:
         for _ in range(self.config.total_steps if steps is None else steps):
             self.run_iteration()
-
-
-def _divide(x: np.ndarray, n: int) -> None:
-    np.divide(x, n, out=x)
 
 
 # Send functions, one per mode: (link, x, fresh_rows, sample_idx) ->

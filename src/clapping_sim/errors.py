@@ -7,7 +7,8 @@ class ContractViolation(ValueError):
 
 
 class DivergenceError(ContractViolation):
-    """A message to be sent is non-finite: the run diverged at its step and boundary."""
+    """The run diverged at the step named: a message to be sent (at the
+    boundary named) or the logged objective is non-finite."""
 
 
 class ConfigurationError(ValueError):

@@ -33,7 +33,7 @@ from . import compressors as comp
 from . import datasets as ds
 from . import stages as st
 from .engine import AQ_SGD, CLAPPING_FC, VARIANT_POLICY, VARIANTS, AlgoConfig, PipelineEngine
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DivergenceError
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig
 from .rng import named_stream
 from .sampling import BATCH_BATCHWISE, RULES, SINGLE, Schedule
@@ -319,7 +319,9 @@ def build_problem(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) -> Path:
     """Run the configured experiment, writing each metrics row as it is
-    logged, so a run that stops early keeps the rows before the stop."""
+    logged, so a run that stops early keeps the rows before the stop. A
+    non-finite message or logged objective raises ``DivergenceError``
+    naming its step; numpy's overflow warnings on the way are not shown."""
     chain, inputs, init, data = build_problem(cfg)
     engine = PipelineEngine(
         chain, cfg.algo, inputs, init_weights=init,
@@ -334,13 +336,16 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     except OSError as exc:
         raise ConfigurationError(f"{out}: cannot write metrics file ({exc.strerror})") from None
 
-    with fh:
+    with fh, np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for t in range(1, cfg.algo.total_steps + 1):
             f_fu = engine.run_iteration()
             if t % cfg.log_every == 0 or t == cfg.algo.total_steps:
                 loss, gnorm = _exact_objective(chain, inputs, engine)
+                if not (math.isfinite(loss) and math.isfinite(gnorm)):
+                    raise DivergenceError(f"step {t}: non-finite logged objective "
+                                          f"(loss {loss!r}, gradient norm {gnorm!r})")
                 writer.writerow([
                     t, repr(loss), repr(loss - f_star), repr(gnorm),
                     engine.ledger.total_bytes(0), engine.ledger.total_bytes(1),

@@ -98,7 +98,8 @@ def sizes(fmt: int, dim, count=0, bits: int = 0, inner: int = FMT_DENSE):
     return body, body
 
 
-def _body_sizes(body: WireBody):
+def body_sizes(body: WireBody) -> tuple[int, int]:
+    """A WireBody's exact (body, value-only) byte counts: ``sizes`` for its fields."""
     count = 0 if body.indices is None else len(body.indices)
     block = body.inner or body  # a COMPOSE value block sets the bits and inner format
     return sizes(body.fmt, body.dim, count, block.bits, block.fmt)
@@ -106,13 +107,7 @@ def _body_sizes(body: WireBody):
 
 def body_size(body: WireBody) -> int:
     """Exact body byte count for a WireBody."""
-    return _body_sizes(body)[0]
-
-
-def value_only_size(body: WireBody) -> int:
-    """Byte count excluding index/count overhead, for saving metrics that
-    mirror value-only accounting."""
-    return _body_sizes(body)[1]
+    return body_sizes(body)[0]
 
 
 QUANT_BITS = range(2, 17)  # the quant widths either end accepts; int64 shifts cannot wrap there

@@ -40,7 +40,7 @@ def half_calls(monkeypatch):
     """A list that gets ``(name, thread id)`` for every call of the private
     functions the optimizer, the engine's gradient scaling and
     ``compress_batch`` run as halves: ``optim._momentum``, ``optim._adam``,
-    ``engine._divide`` and each kind's rows function."""
+    ``engine.itruediv`` and each kind's rows function."""
     calls = []
 
     def spy(name, fn):
@@ -49,7 +49,7 @@ def half_calls(monkeypatch):
             return fn(*args)
         return spied
 
-    for owner, name in ((optim, "_momentum"), (optim, "_adam"), (engine, "_divide")):
+    for owner, name in ((optim, "_momentum"), (optim, "_adam"), (engine, "itruediv")):
         monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
     for kind, row in list(comp.KIND_TABLE.items()):
         monkeypatch.setitem(comp.KIND_TABLE, kind, row._replace(rows=spy(kind, row.rows)))

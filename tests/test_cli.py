@@ -166,22 +166,32 @@ def test_bad_setting_is_one_config_error_line(tmp_path, capsys, lines, flags, na
     assert not (tmp_path / "m.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings on the way
+DIVERGING = {"dataset.n": "16", "dataset.dim": "4", "algo.total_steps": "200",
+             "optimizer.gamma": "1e6", "run.log_every": "10"}
+
+
 @pytest.mark.parametrize("setting, reason, logged", [
-    ("algo.variant = clapping_fc",
+    ({"algo.variant": "clapping_fc"},
      "step 52: non-finite forward message at boundary 0, sent by worker 1", [10, 20, 30, 40, 50]),
     # finite, but past what the quant scale can carry as a float32
-    ("algo.variant = direct\ncompressor.forward = quant:8",
+    ({"algo.variant": "direct", "compressor.forward": "quant:8"},
      "step 7: forward message at boundary 0, sent by worker 1: uniform_quant: |x| = 5.763e+39 "
      "exceeds the float32 scale limit 3.403e+38", []),
-])
+    # the stage products overflow on the way to a non-finite message
+    ({"dataset.n": "32", "dataset.dim": "5", "algo.variant": "direct",
+      "compressor.forward": "topk:1", "optimizer.gamma": "1e300"},
+     "step 2: non-finite forward message at boundary 0, sent by worker 1", []),
+    # every message is finite, but the one logged objective is not
+    ({"algo.variant": "no_comp", "algo.total_steps": "1", "run.log_every": "1",
+      "optimizer.gamma": "1e300"},
+     "step 1: non-finite logged objective (loss inf, gradient norm inf)", []),
+], ids=["clapping_fc", "direct-quant", "direct-topk-overflow", "no_comp-one-step"])
 def test_divergence_is_one_line_and_exit_code_3(tmp_path, capsys, setting, reason, logged):
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text("dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 200\n"
-                   f"{setting}\noptimizer.gamma = 1e6\nrun.log_every = 10\n")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in {**DIVERGING, **setting}.items()))
     assert main(["run", str(cfg), "--out", str(tmp_path / "m.csv")]) == 3
     assert capsys.readouterr().err.splitlines() == [f"diverged: {reason}"]
-    # the rows logged before the blow-up are kept
+    # the rows logged before the blow-up are kept, and no row after it is written
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0].startswith("step,loss")
     assert [int(line.split(",")[0]) for line in lines[1:]] == logged

@@ -56,9 +56,11 @@ def record_exchanges(eng):
     return received
 
 
-def freeze(eng):
-    """Keep the engine's weights and optimizer state at their initial values."""
-    eng._update_worker = lambda *args: None
+def freeze(monkeypatch, eng):
+    """Keep the engine's weights and optimizer state at their initial values:
+    the engine's update functions do nothing until the test ends."""
+    for name in ("momentum_update", "adam_update"):
+        monkeypatch.setattr(engine_module, name, lambda *args: None)
     return eng
 
 
@@ -165,7 +167,7 @@ class TestExchanges:
                                     np.zeros(0), np.ones(1))
         npt.assert_array_equal(eng.links[BACKWARD][0].cache[0], v)
 
-    def test_direct_topk_on_equal_pair_never_decays(self):
+    def test_direct_topk_on_equal_pair_never_decays(self, monkeypatch):
         # two-element activation (1, 1): top-1 keeps index 0 forever, the
         # error on index 1 never shrinks
         spec = st.StageSpec(st.LINEAR, 2, 2)
@@ -174,7 +176,7 @@ class TestExchanges:
         chain = st.ModelChain((spec, mid, head), boundaries=(1,))
         X = np.array([[1.0, 1.0]])
         init = [np.eye(2).ravel(), np.array([0.3, 0.3])]
-        eng = freeze(PipelineEngine(
+        eng = freeze(monkeypatch, PipelineEngine(
             chain,
             make_config(DIRECT, chain, fwd=(comp.topk_spec(1),), steps=5, seed=2),
             X, init_weights=init,
@@ -184,7 +186,7 @@ class TestExchanges:
             eng.run_iteration()
             npt.assert_array_equal(received[FORWARD, 0][0], [1.0, 0.0])
 
-    def test_backward_error_propagation_formula(self):
+    def test_backward_error_propagation_formula(self, monkeypatch):
         # three linear workers, exact forward, noisy backward: the
         # received gradient is W2^T(W3^T v3 + eps2) + eps1
         s1 = st.StageSpec(st.LINEAR, 4, 3)
@@ -195,8 +197,8 @@ class TestExchanges:
         init = [rng.standard_normal(12), rng.standard_normal(6), rng.standard_normal(2)]
         X = rng.standard_normal((4, 4))
         bwd = (comp.inject_uniform_spec(0.3), comp.inject_uniform_spec(0.3))
-        eng = freeze(PipelineEngine(chain, make_config(DIRECT, chain, bwd=bwd, seed=5), X,
-                                    init_weights=init))
+        eng = freeze(monkeypatch, PipelineEngine(chain, make_config(DIRECT, chain, bwd=bwd, seed=5),
+                                                 X, init_weights=init))
         received = record_exchanges(eng)
         eng.run_iteration()
         W2 = init[1].reshape(2, 3)
@@ -226,12 +228,11 @@ class TestExchanges:
 
 
 class TestEfFixedPoint:
-    def test_frozen_state_contracts_at_compressor_rate(self, logistic_setup):
+    def test_frozen_state_contracts_at_compressor_rate(self, logistic_setup, monkeypatch):
         chain, X, init = logistic_setup
         fwd = (comp.topk_spec(1),)
-        eng = freeze(PipelineEngine(chain, make_config(CLAPPING_FC, chain, p=0.0, fwd=fwd,
-                                                       bwd=fwd, steps=40, seed=7),
-                                    X, init_weights=init))
+        cfg = make_config(CLAPPING_FC, chain, p=0.0, fwd=fwd, bwd=fwd, steps=40, seed=7)
+        eng = freeze(monkeypatch, PipelineEngine(chain, cfg, X, init_weights=init))
         omega = np.sqrt(comp.contraction_bound(comp.topk_spec(1), chain.boundary_dim(0)))
         eng.run_iteration()
         idx = eng.sampler.current[0]

@@ -186,6 +186,17 @@ class TestRunExperiment:
         assert np.all(cols["fwd_bytes"] >= 0) and np.all(cols["bwd_bytes"] >= 0)
         assert np.all(np.diff(cols["fwd_bytes"]) >= 0)  # cumulative
 
+    def test_non_finite_objective_raises_the_exported_divergence_error(self, tmp_path):
+        # library callers catch it from the package, as the README names it
+        from clapping_sim import DivergenceError, __all__
+        assert "DivergenceError" in __all__
+        raw = H.parse_config_text(CONFIG_TEXT)
+        raw.update({"algo.variant": "no_comp", "optimizer.gamma": "1e300",
+                    "algo.total_steps": "2", "run.log_every": "1"})
+        with pytest.raises(DivergenceError, match="^step 1: non-finite logged objective"):
+            H.run_experiment(H.config_from_mapping(raw), tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_text() == ",".join(H.CSV_COLUMNS) + "\n"
+
     def test_engine_checks_run_before_the_optimum_solve(self, tmp_path, monkeypatch):
         raw = H.parse_config_text(CONFIG_TEXT)
         raw.update({"algo.variant": "no_comp", "compressor.forward": "topk:500"})

@@ -216,7 +216,7 @@ def test_split_products_keep_the_tracer_on_the_main_thread(matmul_split, half_ca
     assert threads == {threading.main_thread().ident}
     helper = Counter(name for name, ident in half_calls if ident != threading.main_thread().ident)
     # three steps: four workers' scaling and update, six top-k calls
-    assert helper == {"_divide": 3 * 4, "_momentum": 3 * 4, "topk": 3 * 6}
+    assert helper == {"itruediv": 3 * 4, "_momentum": 3 * 4, "topk": 3 * 6}
     matmul_split(threads=1, cpus=(0,))
     half_calls.clear()
     one_cpu, _ = traced_wide_run()
