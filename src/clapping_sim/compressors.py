@@ -257,13 +257,25 @@ def check_width(spec: CompressorSpec, dim: int, where: str = "compressor") -> No
                                  f"exceeds input dimension {dim}")
 
 
-def _check_input(spec: CompressorSpec, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+_F64 = np.dtype(np.float64)
+
+
+def _rows_job(spec: CompressorSpec, rng, x: np.ndarray, cache=None, resid=None):
+    """The compressor's pass over a float64 (B, d) array, or a range of
+    its rows: the input check, then the kind's rows function. With
+    ``cache``, it forms x - cache (into ``resid`` if given) and checks and
+    compresses that, then adds the result into ``cache`` in place.
+    Returns the reconstruction (``cache``, with one), the body fields, and
+    for a composition each row's surviving entry count."""
+    if cache is not None:
+        x = np.subtract(x, cache, out=resid)
     if not np.isfinite(x).all():
         raise ContractViolation("compressor input must be finite")
     if spec.widest.k > x.shape[-1]:
         check_width(spec, x.shape[-1])
-    return x
+    recon, fields = KIND_TABLE[spec.kind].rows(x, spec.arg, rng)
+    counts = np.count_nonzero(recon, axis=-1) if spec.fmt == wire.FMT_COMPOSE else None
+    return (recon if cache is None else np.add(cache, recon, out=cache)), fields, counts
 
 
 def _value_block(fmt: int, bits: int, recon: np.ndarray, fields, at) -> wire.WireBody:
@@ -282,10 +294,10 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
     """Compress one vector; returns the reconstruction, exact wire byte
     counts, and the structured body the codec can serialize. This is the
     one-row case of compress_batch and makes the same stream draws."""
-    x = _check_input(spec, x)
+    x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ContractViolation("compress takes a single vector; use compress_batch for rows")
-    recon, fields = KIND_TABLE[spec.kind].rows(x[None], spec.arg, rng)
+    recon, fields, _ = _rows_job(spec, rng, x[None])
     recon, fields = recon[0], [f[0] for f in fields]
     if spec.fmt == wire.FMT_SPARSE:  # exactly the k selected entries, zero-valued ones too
         idx = np.flatnonzero(fields[0])
@@ -301,29 +313,47 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
     return CompressedPayload(recon, *wire.body_sizes(body), body)
 
 
-def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None):
+def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
     """Row-wise compression of a (B, d) array: (reconstruction, payload
     bytes, value bytes), summed over rows. Rows match compress() bit for
-    bit; a stochastic kind draws the whole batch in one call. A
-    deterministic kind other than identity, on more than _SPLIT_ENTRIES
+    bit; a stochastic kind draws the whole batch in one call.
+
+    With ``cache``, the (B, d) float64 rows an error-feedback link keeps,
+    it compresses x - cache instead, adds the result into ``cache`` in
+    place and returns ``cache`` as the reconstruction: bit for bit
+    ``cache + compress_batch(spec, x - cache, rng)[0]``.
+
+    A deterministic kind other than identity, on more than _SPLIT_ENTRIES
     entries, runs on the two row halves at once where ``halves.helper()``
-    gives a helper."""
-    x = _check_input(spec, x)
+    gives a helper, each half with its whole job: residual, input check,
+    rows function and cache update. A failing call raises one unsplit
+    call's exception, but the other half may have updated its own cache
+    rows by then."""
+    if type(x) is not np.ndarray or x.dtype is not _F64:  # else np.asarray returns x itself
+        x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
-    rows = KIND_TABLE[spec.kind].rows
+    if cache is not None and cache.shape != x.shape:
+        raise ContractViolation(f"compress_batch: cache of shape {cache.shape} "
+                                f"for a batch of shape {x.shape}")
     # identity is one copy, which halves only make slower
     if (x.size > _SPLIT_ENTRIES and not spec.stochastic and spec.kind != IDENTITY
             and x.shape[0] > 1 and (jobs := halves.helper()) is not None):
         h = x.shape[0] // 2
-        (top, _), (bottom, _) = halves.run(jobs, rows, (x[:h], spec.arg, None),
-                                           (x[h:], spec.arg, None), whole=(x, spec.arg, None))
-        recon = np.concatenate((top, bottom))
+        arrays = (x,) if cache is None else (x, cache, np.empty_like(x))
+        # on a failure, the check and rows function run again, alone, on the
+        # last array: x, or the residual the halves formed
+        (top, _, top_counts), (bottom, _, counts) = halves.run(
+            jobs, _rows_job, (spec, None, *(a[:h] for a in arrays)),
+            (spec, None, *(a[h:] for a in arrays)), whole=(spec, None, arrays[-1]))
+        recon = np.concatenate((top, bottom)) if cache is None else cache
+        if counts is not None:
+            counts = np.concatenate((top_counts, counts))
     else:
-        recon, _ = rows(x, spec.arg, rng)
-    if spec.fmt == wire.FMT_COMPOSE:
-        payload, values = wire.sizes(spec.fmt, x.shape[1], np.count_nonzero(recon, axis=-1),
-                                     spec.wire_bits, spec.value_fmt)
+        recon, _, counts = _rows_job(spec, rng, x, cache)
+    if spec.fmt == wire.FMT_COMPOSE:  # the counts of each row's surviving entries
+        payload, values = wire.sizes(spec.fmt, x.shape[1], counts, spec.wire_bits,
+                                     spec.value_fmt)
         return recon, int(payload.sum()), int(values.sum())
     payload, values = wire.sizes(spec.fmt, x.shape[1], spec.k, spec.wire_bits)
     return recon, payload * x.shape[0], values * x.shape[0]

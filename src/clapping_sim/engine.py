@@ -144,7 +144,10 @@ class WorkerPlan(NamedTuple):
 class Link(NamedTuple):
     """One boundary in one direction, compiled at engine init. ``send``
     is its mode's send function (``_SEND``); the cache has the rows
-    ``VariantPolicy.cache_rows`` gives its mode, or is None for none."""
+    ``VariantPolicy.cache_rows`` gives its mode, or is None for none.
+    An ``ef`` send hands the receiver the cache array itself, not a copy:
+    each link sends once per step, so the cache does not change while the
+    step reads it, and no stage function writes its inputs."""
 
     send: Callable
     spec: comp.CompressorSpec
@@ -368,13 +371,15 @@ class PipelineEngine:
 # Send functions, one per mode: (link, x, fresh_rows, sample_idx) ->
 # (reconstruction, payload bytes, value bytes).
 
-def _send_ef(link: Link, x: np.ndarray, fresh_rows, sample_idx, rows=slice(None)):
-    """Error feedback on the cache's ``rows``: both endpoints set
-    cache <- cache + C(x - cache), which is what the receiver uses."""
-    cache = link.cache[rows]
-    delta, nbytes, value_bytes = comp.compress_batch(link.spec, x - cache, link.rng)
-    link.cache[rows] = recon = cache + delta
-    return recon, nbytes, value_bytes
+def _send_ef(link: Link, x: np.ndarray, fresh_rows, sample_idx, rows=None):
+    """Error feedback on the cache, or on its ``rows``: both endpoints set
+    cache <- cache + C(x - cache), which is what the receiver uses.
+    ``compress_batch`` makes the whole update in place."""
+    cache = link.cache if rows is None else link.cache[rows]
+    out = comp.compress_batch(link.spec, x, link.rng, cache=cache)
+    if rows is not None:  # the rows gathered a copy
+        link.cache[rows] = cache
+    return out
 
 
 def _send_ef_fresh_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):

@@ -3,7 +3,8 @@
 Three kinds of work split this way: a wide stage matrix product
 (``stages._matmul``), an optimizer update or gradient scaling over a long
 parameter vector (``in_place``) and a deterministic compressor over a
-large batch (``compressors.compress_batch``). Each cuts its job where
+large batch, with its error-feedback residual and cache update
+(``compressors.compress_batch``). Each cuts its job where
 every output element is computed as in one call, so the bits match one
 call. ``helper()`` decides once per process whether anything splits.
 
@@ -58,12 +59,12 @@ def _help(jobs: queue.SimpleQueue) -> None:
 
 def run(jobs: queue.SimpleQueue, fn, mine: tuple, theirs: tuple, whole: tuple | None = None):
     """(fn(*mine), fn(*theirs)), with fn(*theirs) on the helper thread at
-    once. If a half raises, a pure fn passes the arguments of one unsplit
-    call as ``whole``, which then runs here, so the caller sees exactly one
-    call's exception. An in-place fn, whose halves have written by then,
-    passes none and gets the exception of a failing half, this thread's
-    first: one call's exception, unless the two halves fail in different
-    operations."""
+    once. If a half raises, fn(*whole) then runs here: one unsplit call on
+    what a single call of the caller would read, so the caller sees
+    exactly one call's exception. Without ``whole`` (an update, whose
+    halves have written its inputs by then) the caller gets the exception
+    of a failing half, this thread's first: one call's exception, unless
+    the two halves fail in different operations."""
     done: queue.SimpleQueue = queue.SimpleQueue()
     jobs.put((fn, theirs, np.geterr(), np.geterrcall(), done))
     try:

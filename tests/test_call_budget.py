@@ -45,13 +45,13 @@ MLP = {
 # (Python calls, C calls) over the STEPS counted steps
 BUDGET = {
     "python 3.11; numpy 2.4.6": {
-        "logistic/no_comp": (9800, 6400),
-        "logistic/direct": (9800, 6200),
-        "logistic/forward_ef": (9800, 6200),
-        "logistic/aq_sgd": (10000, 6200),
-        "logistic/clapping_fc": (9224, 5816),
-        "logistic/clapping_fu": (9608, 6240),
-        "mlp/clapping_fc": (31597, 18591),
+        "logistic/no_comp": (9800, 6000),
+        "logistic/direct": (9800, 5800),
+        "logistic/forward_ef": (9800, 5800),
+        "logistic/aq_sgd": (10000, 5800),
+        "logistic/clapping_fc": (9224, 5416),
+        "logistic/clapping_fu": (9608, 5840),
+        "mlp/clapping_fc": (31597, 17791),
     },
 }
 

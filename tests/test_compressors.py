@@ -403,6 +403,13 @@ class TestSharedBehavior:
         with pytest.raises(ContractViolation):
             comp.compress(comp.identity_spec(), np.array([1.0, np.inf]))
 
+    @pytest.mark.parametrize("shape", [(4, 5), (3, 6), (6,), (4, 6, 1)])
+    def test_a_cache_of_another_shape_is_refused(self, shape):
+        cache = np.zeros(shape)
+        with pytest.raises(ContractViolation, match=rf"cache of shape \({shape[0]},"):
+            comp.compress_batch(comp.topk_spec(2), np.ones((4, 6)), cache=cache)
+        npt.assert_array_equal(cache, 0.0)
+
     def test_batch_matches_rows_for_deterministic_kinds(self):
         X = named_stream(11, "batch").standard_normal((7, 10))
         for spec in (comp.topk_spec(3), comp.quant_spec(6), comp.natural_spec(),

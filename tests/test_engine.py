@@ -384,8 +384,8 @@ class TestAqsgd:
         sent = []
         real = comp.compress_batch
 
-        def recording(spec, x, rng=None):
-            out = real(spec, x, rng)
+        def recording(spec, x, rng=None, cache=None):
+            out = real(spec, x, rng, cache)
             sent.append(out[0].copy())
             return out
 
@@ -393,7 +393,7 @@ class TestAqsgd:
         received = record_exchanges(eng)
         eng.run_iteration()
         npt.assert_array_equal(eng.sampler.current, [3, 2, 3, 3])  # sample 3 at rows 0, 2, 3
-        rows = sent[0]  # the forward message, C(x - 0) per row: the cache starts at zero
+        rows = sent[0]  # the forward reconstruction, 0 + C(x - 0) per row: the cache was zero
         npt.assert_array_equal(received[FORWARD, 0], rows)  # each row is received as sent
         assert not np.array_equal(rows[0], rows[3]) and not np.array_equal(rows[2], rows[3])
         cache = eng.links[FORWARD][0].cache

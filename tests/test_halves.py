@@ -113,6 +113,9 @@ SPECS = {
 }
 
 
+EF_SPECS = dict(SPECS, randk=comp.randk_spec(51), inject_uniform=comp.inject_uniform_spec(0.2))
+
+
 class TestCompressBatch:
     @pytest.mark.parametrize("rows", [128, 97, 37, 1])
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -146,6 +149,31 @@ class TestCompressBatch:
         one, two = per_cpus(matmul_split, draw)
         assert np.array_equal(bits(one[0]), bits(two[0])) and one[1:] == two[1:]
         assert half_calls and on_helper(half_calls) == 0
+
+    @pytest.mark.parametrize("name", sorted(EF_SPECS))
+    def test_a_cache_takes_the_error_feedback_update_in_place(self, name, matmul_split,
+                                                             half_calls):
+        """With a cache, compress_batch compresses x - cache, adds the
+        result into the cache and returns the cache itself: bit for bit
+        the caller's own update around a call without one."""
+        spec = EF_SPECS[name]
+        rng = named_stream(39, f"halves-ef-{name}")
+        x = rng.standard_normal((128, 512))
+        c0 = x + rng.standard_normal((128, 512)) * 10.0 ** rng.integers(-3, 1, size=(128, 1))
+        assert x.size > comp._SPLIT_ENTRIES
+
+        def ef():
+            cache = c0.copy()
+            got = comp.compress_batch(spec, x, named_stream(40, "halves-ef"), cache=cache)
+            delta = comp.compress_batch(spec, x - c0, named_stream(40, "halves-ef"))
+            assert got[0] is cache and got[1:] == delta[1:]
+            assert np.array_equal(bits(cache), bits(c0 + delta[0]))
+            return cache
+
+        one, two = per_cpus(matmul_split, ef)
+        assert np.array_equal(bits(one), bits(two))
+        split = not spec.stochastic and name != "identity"
+        assert bool(on_helper(half_calls)) == split
 
     def test_a_failing_half_gives_one_calls_exception(self, matmul_split, half_calls):
         """Rows past float32's range in both halves: the text names the
@@ -214,3 +242,22 @@ class TestWideEngine:
         assert errors[0] == errors[1]
         assert errors[0].startswith("step 3: backward message at boundary 1, sent by worker 3: "
                                     "uniform_quant: |x| = 7e+38")
+
+    def test_a_non_finite_row_in_the_second_half_names_its_message(self, matmul_split,
+                                                                  half_calls):
+        """A wide top-k error-feedback message with one inf in its second
+        row half: the helper's half fails its input check, and the text is
+        that of one call. The first half may have updated its cache rows;
+        the run stops there."""
+        errors = []
+        for cpus in (ONE_CPU, TWO_CPUS):
+            matmul_split(threads=1, cpus=cpus)
+            eng = wide_engine(MOMENTUM_SGD)
+            eng.run(2)
+            x = np.ones((128, 512))
+            x[100, 5] = np.inf
+            with pytest.raises(DivergenceError) as caught:
+                eng.forward_exchange(0, x, np.zeros(128, dtype=bool), eng.sampler.current)
+            errors.append(str(caught.value))
+        assert errors == ["step 3: non-finite forward message at boundary 0, sent by worker 1"] * 2
+        assert on_helper(half_calls, "topk") == 2 * 3  # two steps' forward sends, split

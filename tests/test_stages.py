@@ -376,6 +376,49 @@ def small_chains(draw):
     return tuple(stages), draw(hs.sampled_from([None, 1, 3])), draw(hs.integers(0, 2**16))
 
 
+EVERY_KIND = {
+    "linear": st.StageSpec(st.LINEAR, 3, 2),
+    "linear+sq_norm": st.StageSpec(st.LINEAR, 3, 3, {"append_sq_norm": True}),
+    "affine": st.StageSpec(st.AFFINE_BIAS, 3, 2),
+    "tanh": st.StageSpec(st.TANH, 3, 3),
+    "relu": st.StageSpec(st.RELU, 3, 3),
+    "logistic": st.StageSpec(st.LOGISTIC_LOSS, 1, 1),
+    "regularized_logistic": st.StageSpec(st.REG_LOGISTIC_LOSS, 2, 1, {"c_r": 0.01}),
+    "wide_affine": st.StageSpec(st.AFFINE_BIAS, 512, 512),  # its products run as halves
+}
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+class TestReadOnlyInputs:
+    """The engine hands a receiving worker the link's cache array itself,
+    and the tape keeps it: no stage function may write its inputs. Here
+    every input is read-only, so a write would raise."""
+
+    def test_every_kind_is_covered(self):
+        assert {stage.kind for stage in EVERY_KIND.values()} == set(st.STAGE_KINDS)
+
+    @pytest.mark.parametrize("rows", [None, 4, 128], ids=["vector", "batch", "wide_batch"])
+    @pytest.mark.parametrize("name", sorted(EVERY_KIND))
+    def test_no_stage_function_writes_its_inputs(self, name, rows, matmul_split):
+        matmul_split(threads=1)  # wide products split where a helper can run
+        stage = EVERY_KIND[name]
+        rng = named_stream(23, f"read-only-{name}")
+        lead = () if rows is None else (rows,)
+        y, v = (read_only(rng.standard_normal(lead + (dim,)))
+                for dim in (stage.input_dim, stage.output_dim))
+        w = read_only(rng.standard_normal(stage.param_dim))
+        out = st.stage_forward(stage, y, w)
+        assert out.shape == lead + (stage.output_dim,)
+        saved = read_only(out) if stage.saves_output else y
+        st.stage_backward_input(stage, saved, w, v)
+        st.stage_backward_weight(stage, y, w, v)
+
+
 class TestModelChain:
     def test_adjacent_dims_must_match(self):
         with pytest.raises(ConfigurationError):
