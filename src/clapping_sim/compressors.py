@@ -131,7 +131,7 @@ def _quant_rows(x: np.ndarray, bits: int, rng):
     levels of width 2*scale/(2^bits - 1), rounding half away from zero.
     Fields: the float32 scales and the integer codes."""
     levels_half = (1 << (bits - 1)) - 1
-    peak = np.abs(x).max(axis=-1, keepdims=True)
+    peak = np.abs(x).max(axis=-1, keepdims=True, initial=0.0)  # 0 for a row of width 0
     if (peak > np.finfo(np.float32).max).any():  # the scale travels as one float32
         raise ContractViolation(f"uniform_quant: |x| = {peak.max():.4g} exceeds the float32 "
                                 f"scale limit {np.finfo(np.float32).max:.4g}")
@@ -260,6 +260,14 @@ def check_width(spec: CompressorSpec, dim: int, where: str = "compressor") -> No
 _F64 = np.dtype(np.float64)
 
 
+def _float64(x) -> np.ndarray:
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ContractViolation(
+            f"compressor input: expected numbers, got {type(x).__name__}") from None
+
+
 def _rows_job(spec: CompressorSpec, rng, x: np.ndarray, cache=None, resid=None):
     """The compressor's pass over a float64 (B, d) array, or a range of
     its rows: the input check, then the kind's rows function. With
@@ -294,7 +302,7 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
     """Compress one vector; returns the reconstruction, exact wire byte
     counts, and the structured body the codec can serialize. This is the
     one-row case of compress_batch and makes the same stream draws."""
-    x = np.asarray(x, dtype=np.float64)
+    x = _float64(x)
     if x.ndim != 1:
         raise ContractViolation("compress takes a single vector; use compress_batch for rows")
     recon, fields, _ = _rows_job(spec, rng, x[None])
@@ -318,10 +326,10 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
     bytes, value bytes), summed over rows. Rows match compress() bit for
     bit; a stochastic kind draws the whole batch in one call.
 
-    With ``cache``, the (B, d) float64 rows an error-feedback link keeps,
-    it compresses x - cache instead, adds the result into ``cache`` in
-    place and returns ``cache`` as the reconstruction: bit for bit
-    ``cache + compress_batch(spec, x - cache, rng)[0]``.
+    With ``cache``, the rows an error-feedback link keeps (a writeable
+    float64 array of x's shape), it compresses x - cache instead, adds the
+    result into ``cache`` in place and returns ``cache`` as the
+    reconstruction: bit for bit ``cache + compress_batch(spec, x - cache, rng)[0]``.
 
     A deterministic kind other than identity, on more than _SPLIT_ENTRIES
     entries, runs on the two row halves at once where ``halves.helper()``
@@ -330,12 +338,16 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
     call's exception, but the other half may have updated its own cache
     rows by then."""
     if type(x) is not np.ndarray or x.dtype is not _F64:  # else np.asarray returns x itself
-        x = np.asarray(x, dtype=np.float64)
+        x = _float64(x)
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
-    if cache is not None and cache.shape != x.shape:
-        raise ContractViolation(f"compress_batch: cache of shape {cache.shape} "
-                                f"for a batch of shape {x.shape}")
+    if cache is not None and not (type(cache) is np.ndarray and cache.dtype is _F64
+                                  and cache.shape == x.shape and cache.flags.writeable):
+        got = (f"cache of type {type(cache).__name__}" if not isinstance(cache, np.ndarray)
+               else f"{'' if cache.flags.writeable else 'read-only '}{cache.dtype} cache "
+               f"of shape {cache.shape}")
+        raise ContractViolation(f"compress_batch: {got} for a batch of shape {x.shape}; "
+                                "the cache must be a writeable float64 array of its shape")
     # identity is one copy, which halves only make slower
     if (x.size > _SPLIT_ENTRIES and not spec.stochastic and spec.kind != IDENTITY
             and x.shape[0] > 1 and (jobs := halves.helper()) is not None):

@@ -19,13 +19,13 @@ non-finite message, or a finite one its compressor cannot encode, raises
 ``DivergenceError`` naming the step, boundary and sender.
 
 The variants differ only in what each boundary sends in each direction.
-``VARIANT_POLICY`` gives each one a mode per direction, whether it samples
-lazily (reusing the previous batch with probability 1 - p_t) and whether
-rows drawn fresh this step travel dense. The modes: ``dense`` sends the
-values, as identity compression; ``direct`` sends C(x); ``ef`` sends
-C(x - cache) and both endpoints set cache <- cache + C(x - cache);
-``per_sample_ef`` does the same against one cache entry per dataset row
-instead of per batch row.
+``VARIANT_POLICY`` gives each one a mode per direction and whether it
+samples lazily (reusing the previous batch with probability 1 - p_t).
+The modes: ``dense`` sends the values, as identity compression; ``direct``
+sends C(x); ``ef`` sends C(x - cache) and both endpoints set cache <- cache
++ C(x - cache); ``per_sample_ef`` does so against one cache entry per
+dataset row; ``ef_fresh_dense`` is ``ef`` but sends the rows drawn fresh
+this step dense, which restart their cache rows.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ MODE_DENSE = "dense"
 MODE_DIRECT = "direct"
 MODE_EF = "ef"
 MODE_PER_SAMPLE_EF = "per_sample_ef"
+MODE_EF_FRESH_DENSE = "ef_fresh_dense"
 
 _DIRECTIONS = ("forward", "backward")  # by wire.FORWARD and wire.BACKWARD
 _DENSE = comp.identity_spec()  # a dense send is identity compression
@@ -66,23 +67,22 @@ _DENSE = comp.identity_spec()  # a dense send is identity compression
 class VariantPolicy(NamedTuple):
     forward: str
     backward: str
-    lazy: bool              # lazy sampling; the others draw fresh every step
-    fresh_rows_dense: bool  # EF sends rows drawn fresh this step uncompressed
+    lazy: bool  # lazy sampling; the others draw fresh every step
 
     def cache_rows(self, batch: int, samples: int) -> tuple[int, int]:
-        """Cache rows each endpoint of a link keeps, (forward, backward):
-        ``ef`` one per batch row, ``per_sample_ef`` one per dataset row."""
-        rows = {MODE_EF: batch, MODE_PER_SAMPLE_EF: samples}
+        """Cache rows each endpoint of a link keeps, (forward, backward): one
+        per batch row for the ``ef`` modes, per dataset row for ``per_sample_ef``."""
+        rows = {MODE_EF: batch, MODE_EF_FRESH_DENSE: batch, MODE_PER_SAMPLE_EF: samples}
         return rows.get(self.forward, 0), rows.get(self.backward, 0)
 
 
 VARIANT_POLICY = {
-    NO_COMP: VariantPolicy(MODE_DENSE, MODE_DENSE, lazy=False, fresh_rows_dense=False),
-    DIRECT: VariantPolicy(MODE_DIRECT, MODE_DIRECT, lazy=False, fresh_rows_dense=False),
-    FORWARD_EF: VariantPolicy(MODE_EF, MODE_DIRECT, lazy=False, fresh_rows_dense=False),
-    AQ_SGD: VariantPolicy(MODE_PER_SAMPLE_EF, MODE_DIRECT, lazy=False, fresh_rows_dense=False),
-    CLAPPING_FC: VariantPolicy(MODE_EF, MODE_EF, lazy=True, fresh_rows_dense=False),
-    CLAPPING_FU: VariantPolicy(MODE_EF, MODE_EF, lazy=True, fresh_rows_dense=True),
+    NO_COMP: VariantPolicy(MODE_DENSE, MODE_DENSE, lazy=False),
+    DIRECT: VariantPolicy(MODE_DIRECT, MODE_DIRECT, lazy=False),
+    FORWARD_EF: VariantPolicy(MODE_EF, MODE_DIRECT, lazy=False),
+    AQ_SGD: VariantPolicy(MODE_PER_SAMPLE_EF, MODE_DIRECT, lazy=False),
+    CLAPPING_FC: VariantPolicy(MODE_EF, MODE_EF, lazy=True),
+    CLAPPING_FU: VariantPolicy(MODE_EF_FRESH_DENSE, MODE_EF_FRESH_DENSE, lazy=True),
 }
 VARIANTS = tuple(VARIANT_POLICY)
 
@@ -145,9 +145,9 @@ class Link(NamedTuple):
     """One boundary in one direction, compiled at engine init. ``send``
     is its mode's send function (``_SEND``); the cache has the rows
     ``VariantPolicy.cache_rows`` gives its mode, or is None for none.
-    An ``ef`` send hands the receiver the cache array itself, not a copy:
-    each link sends once per step, so the cache does not change while the
-    step reads it, and no stage function writes its inputs."""
+    An ``ef`` or ``ef_fresh_dense`` send hands the receiver the cache array
+    itself, not a copy: each link sends once per step, so the cache does not
+    change while the step reads it, and no stage function writes its inputs."""
 
     send: Callable
     spec: comp.CompressorSpec
@@ -213,13 +213,9 @@ class PipelineEngine:
             comp.check_width(spec, dim, f"boundary {i} {_DIRECTIONS[direction]}")
             stream = f"compressor/{('fwd', 'bwd')[direction]}/{i}"
             mode = self.policy[direction]  # VariantPolicy starts (forward, backward)
-            if mode == MODE_DENSE:  # sent direct, by identity compression
-                mode, spec = MODE_DIRECT, _DENSE
             rows = self.policy.cache_rows(self.B, n_samples)[direction]
-            send = (_send_ef_fresh_dense if mode == MODE_EF and self.policy.fresh_rows_dense
-                    else _SEND[mode])
-            return Link(send, spec, named_stream(config.seed, stream),
-                        np.zeros((rows, dim)) if rows else None)
+            return Link(_SEND[mode], _DENSE if mode == MODE_DENSE else spec,
+                        named_stream(config.seed, stream), np.zeros((rows, dim)) if rows else None)
 
         # indexed [wire.FORWARD or wire.BACKWARD][boundary]
         self.links = tuple([link(d, i, spec) for i, spec in enumerate(specs)] for d, specs in
@@ -368,38 +364,36 @@ class PipelineEngine:
             self.run_iteration()
 
 
-# Send functions, one per mode: (link, x, fresh_rows, sample_idx) ->
+# Send functions, by mode: (link, x, fresh_rows, sample_idx) ->
 # (reconstruction, payload bytes, value bytes).
 
-def _send_ef(link: Link, x: np.ndarray, fresh_rows, sample_idx, rows=None):
-    """Error feedback on the cache, or on its ``rows``: both endpoints set
-    cache <- cache + C(x - cache), which is what the receiver uses.
-    ``compress_batch`` makes the whole update in place."""
-    cache = link.cache if rows is None else link.cache[rows]
+def _send(link: Link, x: np.ndarray, fresh_rows, sample_idx):
+    """``dense`` and ``direct`` send C(x); ``ef`` makes error feedback on
+    the whole cache, which ``compress_batch`` updates in place."""
+    return comp.compress_batch(link.spec, x, link.rng, cache=link.cache)
+
+
+def _send_rows(link: Link, x: np.ndarray, fresh_rows, rows):
+    """Error feedback on the cache ``rows``: a gathered copy, written back."""
+    cache = link.cache[rows]
     out = comp.compress_batch(link.spec, x, link.rng, cache=cache)
-    if rows is not None:  # the rows gathered a copy
-        link.cache[rows] = cache
+    link.cache[rows] = cache
     return out
 
 
 def _send_ef_fresh_dense(link: Link, x: np.ndarray, fresh_rows, sample_idx):
-    """``ef``, except that the rows drawn fresh this step travel dense."""
+    """``ef`` on the stale rows; the fresh rows travel dense into their
+    cache rows, written last, so a failing message leaves the cache as it was."""
     if not fresh_rows.any():
-        return _send_ef(link, x, fresh_rows, sample_idx)
-    stale = ~fresh_rows
-    if not stale.any():  # a whole batch drawn fresh: no row gathers
-        recon, nbytes, value_bytes = comp.compress_batch(_DENSE, x)
-    else:
-        recon = np.empty_like(x)
-        recon[fresh_rows], nbytes, value_bytes = comp.compress_batch(_DENSE, x[fresh_rows])
-        recon[stale], nb, vb = _send_ef(link, x[stale], None, None, rows=stale)
-        nbytes, value_bytes = nbytes + nb, value_bytes + vb
-    link.cache[:] = recon
-    return recon, nbytes, value_bytes
+        return _send(link, x, fresh_rows, sample_idx)
+    if fresh_rows.all():  # no row gathers
+        link.cache[:], nbytes, value_bytes = comp.compress_batch(_DENSE, x)
+        return link.cache, nbytes, value_bytes
+    dense, nbytes, value_bytes = comp.compress_batch(_DENSE, x[fresh_rows])
+    _, nb, vb = _send_rows(link, x[stale := ~fresh_rows], None, stale)
+    link.cache[fresh_rows] = dense
+    return link.cache, nbytes + nb, value_bytes + vb
 
 
-_SEND = {
-    MODE_DIRECT: lambda link, x, *_: comp.compress_batch(link.spec, x, link.rng),
-    MODE_EF: _send_ef,
-    MODE_PER_SAMPLE_EF: lambda link, x, fresh_rows, idx: _send_ef(link, x, fresh_rows, idx, idx),
-}
+_SEND = {MODE_DENSE: _send, MODE_DIRECT: _send, MODE_EF: _send,
+         MODE_PER_SAMPLE_EF: _send_rows, MODE_EF_FRESH_DENSE: _send_ef_fresh_dense}

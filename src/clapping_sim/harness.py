@@ -321,7 +321,8 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     """Run the configured experiment, writing each metrics row as it is
     logged, so a run that stops early keeps the rows before the stop. A
     non-finite message or logged objective raises ``DivergenceError``
-    naming its step; numpy's overflow warnings on the way are not shown."""
+    naming its step; numpy's overflow warnings on the way are not shown.
+    A non-finite simulated time is a ``ConfigurationError``."""
     chain, inputs, init, data = build_problem(cfg)
     engine = PipelineEngine(
         chain, cfg.algo, inputs, init_weights=init,
@@ -342,6 +343,11 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
         for t in range(1, cfg.algo.total_steps + 1):
             f_fu = engine.run_iteration()
             if t % cfg.log_every == 0 or t == cfg.algo.total_steps:
+                seconds = engine.ledger.simulated_seconds
+                if not math.isfinite(seconds):
+                    raise ConfigurationError(
+                        f"run.bandwidth_bps = {cfg.bandwidth_bps!r} and run.latency_s = "
+                        f"{cfg.latency_s!r} give simulated time {seconds!r} at step {t}")
                 loss, gnorm = _exact_objective(chain, inputs, engine)
                 if not (math.isfinite(loss) and math.isfinite(gnorm)):
                     raise DivergenceError(f"step {t}: non-finite logged objective "
@@ -349,7 +355,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
                 writer.writerow([
                     t, repr(loss), repr(loss - f_star), repr(gnorm),
                     engine.ledger.total_bytes(0), engine.ledger.total_bytes(1),
-                    repr(engine.ledger.simulated_seconds), int(f_fu),
+                    repr(seconds), int(f_fu),
                 ])
     return out
 

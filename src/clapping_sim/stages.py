@@ -28,6 +28,7 @@ input is dropped once they have run. ``pull_back`` is the backward loop.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -45,6 +46,7 @@ REG_LOGISTIC_LOSS = "regularized_logistic_loss"
 
 STAGE_KINDS = (LINEAR, AFFINE_BIAS, TANH, RELU, LOGISTIC_LOSS, REG_LOGISTIC_LOSS)
 LOSS_HEADS = (LOGISTIC_LOSS, REG_LOGISTIC_LOSS)
+_EXTRA_KEY = {LINEAR: "append_sq_norm", REG_LOGISTIC_LOSS: "c_r"}  # the one extra a kind reads
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,9 @@ class StageSpec:
     def __post_init__(self):
         if self.kind not in STAGE_KINDS:
             raise ConfigurationError(f"unknown stage kind {self.kind!r}")
+        if not isinstance(self.extra, Mapping):
+            raise ConfigurationError(f"{self.kind} stage: extra must be a mapping, "
+                                     f"got {self.extra!r}")
         if self.input_dim < 1 or self.output_dim < 1:
             raise ConfigurationError("stage dims must be positive")
         if self.kind in (TANH, RELU) and self.input_dim != self.output_dim:
@@ -77,16 +82,26 @@ class StageSpec:
                 )
             if "c_r" not in self.extra:
                 raise ConfigurationError("regularized_logistic_loss needs extra['c_r']")
+        unread = set(self.extra) - {_EXTRA_KEY.get(self.kind)}
+        if unread:
+            raise ConfigurationError(f"{self.kind} stage does not read extra "
+                                     f"{', '.join(sorted(map(repr, unread)))}")
+        sq_norm = self.extra.get("append_sq_norm", False)
+        if not isinstance(sq_norm, (bool, np.bool_)):
+            raise ConfigurationError(f"linear append_sq_norm must be a bool, got {sq_norm!r}")
+        c_r = self.extra.get("c_r", 0.0)
+        if (isinstance(c_r, bool) or not isinstance(c_r, (int, float, np.integer, np.floating))
+                or not 0 <= c_r <= sys.float_info.max):  # refuses NaN too
+            raise ConfigurationError(f"regularized_logistic_loss c_r must be a finite real "
+                                     f">= 0, got {c_r!r}")
         # what each call reads, fixed once (the spec is frozen)
-        sq_norm = self.kind == LINEAR and bool(self.extra.get("append_sq_norm", False))
         rows = self.output_dim - 1 if sq_norm else self.output_dim
         param_dim = {LINEAR: rows * self.input_dim,
                      AFFINE_BIAS: (self.input_dim + 1) * self.output_dim}.get(self.kind, 0)
-        c_r = float(self.extra["c_r"]) if self.kind == REG_LOGISTIC_LOSS else None
-        object.__setattr__(self, "append_sq_norm", sq_norm)
+        object.__setattr__(self, "append_sq_norm", bool(sq_norm))
         object.__setattr__(self, "matrix_rows", rows)
         object.__setattr__(self, "param_dim", param_dim)
-        object.__setattr__(self, "c_r", c_r)
+        object.__setattr__(self, "c_r", float(c_r) if self.kind == REG_LOGISTIC_LOSS else None)
         object.__setattr__(self, "saves_output", self.kind in (TANH, RELU))
 
 

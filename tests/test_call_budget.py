@@ -2,7 +2,8 @@
 
 The logistic step is bound by call overhead, and call counts are exact
 where timings are noisy. For every ``logistic_benchmark_config`` variant
-and one 3-worker MLP narrow enough that nothing splits into halves, this
+and one 3-worker MLP narrow enough that nothing splits into halves, run
+as ``clapping_fc`` and as ``clapping_fu`` (whose steps are partly fresh), this
 counts, over 200 steps after warm-up, the Python calls into code under
 ``src/clapping_sim`` and the C calls made from those frames (numpy's own
 Python wrappers are not counted, nor what they call), and compares the
@@ -48,10 +49,11 @@ BUDGET = {
         "logistic/no_comp": (9800, 6000),
         "logistic/direct": (9800, 5800),
         "logistic/forward_ef": (9800, 5800),
-        "logistic/aq_sgd": (10000, 5800),
+        "logistic/aq_sgd": (9800, 5800),
         "logistic/clapping_fc": (9224, 5416),
         "logistic/clapping_fu": (9608, 5840),
         "mlp/clapping_fc": (31597, 17791),
+        "mlp/clapping_fu": (35549, 20955),
     },
 }
 
@@ -64,6 +66,8 @@ def budget_configs() -> dict[str, harness.ExperimentConfig]:
     configs = {f"logistic/{v}": harness.logistic_benchmark_config(v, total_steps=WARM_UP + STEPS)
                for v in VARIANTS}
     configs["mlp/clapping_fc"] = harness.config_from_mapping(MLP)
+    # partly fresh steps: the only record of ef_fresh_dense's gather path
+    configs["mlp/clapping_fu"] = harness.config_from_mapping({**MLP, "algo.variant": "clapping_fu"})
     return configs
 
 

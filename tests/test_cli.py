@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from clapping_sim import harness
 from clapping_sim.cli import main
 from clapping_sim.engine import PipelineEngine
 
@@ -195,6 +196,19 @@ def test_divergence_is_one_line_and_exit_code_3(tmp_path, capsys, setting, reaso
     lines = (tmp_path / "m.csv").read_text().splitlines()
     assert lines[0].startswith("step,loss")
     assert [int(line.split(",")[0]) for line in lines[1:]] == logged
+
+
+@pytest.mark.parametrize("setting, values", [
+    ("run.bandwidth_bps = 1e-320", "run.bandwidth_bps = 1e-320 and run.latency_s = 0.0"),
+    ("run.latency_s = 1e308", "run.bandwidth_bps = 100000000.0 and run.latency_s = 1e+308"),
+])
+def test_infinite_simulated_time_is_a_config_error(tmp_path, capsys, setting, values):
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text(SMALL + f"algo.variant = direct\n{setting}\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {values} give simulated time inf at step 1"]
+    assert (tmp_path / "m.csv").read_text().splitlines() == [",".join(harness.CSV_COLUMNS)]
 
 
 def test_run_writes_nothing_but_its_csv(tmp_path, monkeypatch):

@@ -410,6 +410,32 @@ class TestSharedBehavior:
             comp.compress_batch(comp.topk_spec(2), np.ones((4, 6)), cache=cache)
         npt.assert_array_equal(cache, 0.0)
 
+    @pytest.mark.parametrize("case, got", [
+        ("list", "cache of type list"),
+        ("int64", "int64 cache of shape"),
+        ("read-only", "read-only float64 cache of shape"),
+        ("float32", "float32 cache of shape"),
+    ])
+    def test_a_cache_that_is_not_writeable_float64_is_refused(self, case, got):
+        rows = np.zeros((4, 6))
+        cache = {"list": rows.tolist(), "int64": rows.astype(np.int64), "read-only": rows,
+                 "float32": rows.astype(np.float32)}[case]
+        rows.flags.writeable = case != "read-only"
+        with pytest.raises(ContractViolation, match=f"^compress_batch: {got}"):
+            comp.compress_batch(comp.topk_spec(2), np.ones((4, 6)), cache=cache)
+        npt.assert_array_equal(np.asarray(cache), 0.0)
+
+    @pytest.mark.parametrize("call", [comp.compress, comp.compress_batch])
+    def test_input_that_is_not_numbers_is_refused(self, call):
+        with pytest.raises(ContractViolation, match="expected numbers, got str"):
+            call(comp.topk_spec(1), "ab")
+
+    def test_quant_answers_a_batch_of_width_zero(self):
+        recon, nbytes, vbytes = comp.compress_batch(comp.quant_spec(4), np.zeros((2, 0)))
+        one = comp.compress(comp.quant_spec(4), np.zeros(0))  # a scale, no codes
+        assert recon.shape == (2, 0)
+        assert (nbytes, vbytes) == (2 * one.encoded_bytes, 2 * one.value_bytes) == (8, 8)
+
     def test_batch_matches_rows_for_deterministic_kinds(self):
         X = named_stream(11, "batch").standard_normal((7, 10))
         for spec in (comp.topk_spec(3), comp.quant_spec(6), comp.natural_spec(),

@@ -315,6 +315,27 @@ class TestBatchMode:
         else:
             pytest.fail("no partially refreshed step observed")
 
+    def test_partly_fresh_send_updates_the_cache_in_place(self):
+        # fresh rows restart their cache rows exactly, stale rows take the
+        # error-feedback update, and the receiver reads the cache itself
+        chain = st.logistic_chain(4, 0.01)
+        X = named_stream(15, "partly-fresh").standard_normal((12, 5))
+        cfg = make_config(CLAPPING_FU, chain, p=0.5, batch=4, rule=BATCH_SAMPLEWISE,
+                          fwd=(comp.topk_spec(1),), bwd=(comp.topk_spec(1),))
+        eng = PipelineEngine(chain, cfg, X)
+        eng.run(3)
+        link = eng.links[FORWARD][0]
+        cache = link.cache.copy()
+        x = named_stream(16, "partly-fresh").standard_normal(cache.shape)
+        fresh = np.array([False, True, False, True])
+        before = eng.ledger.total_bytes(FORWARD)
+        recon = eng.forward_exchange(0, x, fresh, eng.sampler.current)
+        assert recon is link.cache
+        npt.assert_array_equal(recon[fresh], x[fresh])
+        delta = comp.compress_batch(comp.topk_spec(1), x[~fresh] - cache[~fresh])[0]
+        npt.assert_array_equal(recon[~fresh], cache[~fresh] + delta)
+        assert eng.ledger.total_bytes(FORWARD) - before == 2 * 4 * x.shape[1] + 2 * 8
+
 
 class TestAqsgd:
     def make_engine(self, n_samples, batch=1, fwd=None, seed=13, steps=20):
@@ -700,9 +721,9 @@ class TestMisc:
         rows = {}
         for line in readme.read_text().splitlines():
             cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
-            if len(cells) == 5 and cells[0] in VARIANT_POLICY:
-                fwd, bwd, lazy, fresh = cells[1:]
-                rows[cells[0]] = (fwd, bwd, lazy == "yes", fresh == "yes")
+            if len(cells) == 4 and cells[0] in VARIANT_POLICY:
+                fwd, bwd, lazy = cells[1:]
+                rows[cells[0]] = (fwd, bwd, lazy == "yes")
         assert rows == {v: tuple(p) for v, p in VARIANT_POLICY.items()}
 
     def test_momentum_reset_clears_history(self, logistic_setup):

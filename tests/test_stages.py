@@ -420,6 +420,25 @@ class TestReadOnlyInputs:
 
 
 class TestModelChain:
+    @pytest.mark.parametrize("kind, din, extra, says", [
+        (st.LINEAR, 3, {"apend_sq_norm": True}, "linear stage does not read extra 'apend_sq_norm'"),
+        (st.LINEAR, 3, {"append_sq_norm": "no"}, "linear append_sq_norm must be a bool, got 'no'"),
+        (st.TANH, 3, {"append_sq_norm": True}, "tanh stage does not read extra 'append_sq_norm'"),
+        (st.LINEAR, 3, {"c_r": 0.1}, "linear stage does not read extra 'c_r'"),
+        (st.REG_LOGISTIC_LOSS, 2, {"c_r": "x"}, "c_r must be a finite real >= 0, got 'x'"),
+        (st.REG_LOGISTIC_LOSS, 2, {"c_r": -0.5}, "c_r must be a finite real >= 0, got -0.5"),
+        (st.REG_LOGISTIC_LOSS, 2, {"c_r": float("nan")}, "c_r must be a finite real >= 0, got nan"),
+        (st.REG_LOGISTIC_LOSS, 2, {"c_r": float("inf")}, "c_r must be a finite real >= 0, got inf"),
+        (st.REG_LOGISTIC_LOSS, 2, {"c_r": True}, "c_r must be a finite real >= 0, got True"),
+        (st.LINEAR, 3, None, "linear stage: extra must be a mapping, got None"),
+        (st.REG_LOGISTIC_LOSS, 2, [], "stage: extra must be a mapping, got []"),
+    ], ids=["typo", "not-bool", "tanh-sq-norm", "linear-c_r", "c_r-str", "c_r-negative",
+            "c_r-nan", "c_r-inf", "c_r-bool", "not-a-mapping", "head-not-a-mapping"])
+    def test_an_extra_its_kind_does_not_read_as_given_is_refused(self, kind, din, extra, says):
+        out = 1 if kind == st.REG_LOGISTIC_LOSS else 3
+        with pytest.raises(ConfigurationError, match=re.escape(says)):
+            st.StageSpec(kind, din, out, extra)
+
     def test_adjacent_dims_must_match(self):
         with pytest.raises(ConfigurationError):
             st.ModelChain((st.StageSpec(st.LINEAR, 2, 3), st.StageSpec(st.TANH, 2, 2)))
