@@ -262,10 +262,13 @@ _F64 = np.dtype(np.float64)
 
 def _float64(x) -> np.ndarray:
     try:
-        return np.asarray(x, dtype=np.float64)
+        if not np.iscomplexobj(x):  # casting a complex one would drop its imaginary part
+            return np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise ContractViolation(
             f"compressor input: expected numbers, got {type(x).__name__}") from None
+    raise ContractViolation(f"compressor input: expected real numbers, got complex "
+                            f"{type(x).__name__}")
 
 
 def _rows_job(spec: CompressorSpec, rng, x: np.ndarray, cache=None, resid=None):

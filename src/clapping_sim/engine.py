@@ -126,12 +126,21 @@ class AlgoConfig:
 class WorkerPlan(NamedTuple):
     """One worker compiled at engine init: its stages, each stage's
     parameters as a view into the worker's flat weight vector, a flat
-    gradient with one view per stage, and the stages and params the
-    forward pass runs: all but the last worker's final stage, whose
-    output the backward pass never reads (it seeds the adjoint with 1).
+    gradient with one view per stage, the stages and params the forward
+    pass runs (all but the last worker's final stage, whose output the
+    backward pass never reads: it seeds the adjoint with 1), and whether
+    its weight side is deferred.
+
     Every worker's gradient is a view of one engine-wide scratch from
     offset 0: the backward sweep finishes a worker's gradient (pull-back,
-    batch mean, update) before the next worker's pull-back writes it."""
+    batch mean, update) before the next worker's pull-back writes it. A
+    deferring worker (``defer``: not worker 1, where ``halves.helper()``
+    gives a helper and a weight product is above ``stages._SPLIT_MACS``)
+    hands its weight adjoints, batch mean and update to ``halves.defer``
+    while the sweep goes on with its input adjoints and backward send. The
+    one helper runs deferred jobs in the order they were queued, so worker
+    e's update has read the scratch before worker e-1's weight adjoint
+    writes it. A worker that does not defer waits for the queue first."""
 
     stages: tuple[st.StageSpec, ...]
     params: list[np.ndarray]
@@ -139,6 +148,7 @@ class WorkerPlan(NamedTuple):
     stage_grads: list[np.ndarray]
     forward_stages: tuple[st.StageSpec, ...]
     forward_params: list[np.ndarray]
+    defer: bool
 
 
 class Link(NamedTuple):
@@ -190,7 +200,7 @@ class PipelineEngine:
             self.inputs = inputs
             n_samples = 0
         else:
-            X = np.asarray(inputs, dtype=np.float64)
+            X = st._float64("inputs", inputs)
             if X.ndim != 2 or X.shape[1] != chain.input_dim:
                 raise ConfigurationError("inputs must be (n, input_dim)")
             if X.shape[0] == 0:
@@ -226,7 +236,7 @@ class PipelineEngine:
         if len(init_weights) != self.E:
             raise ConfigurationError(f"init_weights: expected {self.E} entries, one per worker, "
                                      f"got {len(init_weights)}")
-        self.weights = [np.asarray(w, dtype=np.float64).copy() for w in init_weights]
+        self.weights = [st._float64("init_weights", w).copy() for w in init_weights]
         for e, w in enumerate(self.weights, start=1):
             d = chain.worker_param_dim(e)
             if w.shape != (d,):
@@ -237,12 +247,17 @@ class PipelineEngine:
         )
         self.plans: list[WorkerPlan] = []
         scratch = np.zeros(max(len(w) for w in self.weights))  # see WorkerPlan
+        helped = halves.helper() is not None
         for e, w in enumerate(self.weights, start=1):
             stages = chain.worker_stages(e)
             params, grad = chain.split_params(stages, w), scratch[: len(w)]
             n = len(stages) - (e == self.E)
+            defer = helped and e > 1 and any(  # a weight product's multiply-adds
+                self.B * s.matrix_rows * s.input_dim > st._SPLIT_MACS
+                for s in stages if s.param_dim)
             self.plans.append(WorkerPlan(stages, params, grad, chain.split_params(stages, grad),
-                                         stages[:n], params[:n]))
+                                         stages[:n], params[:n], defer))
+        self._defers = any(plan.defer for plan in self.plans)
         self._loss_adjoint = np.ones((self.B, 1))  # d loss / d final output, read-only
         self._loss_adjoint.flags.writeable = False
         self._batch: np.ndarray | None = None  # the current batch's input rows
@@ -278,12 +293,13 @@ class PipelineEngine:
         if not isinstance(self.inputs, StreamingInputs):
             return self.inputs[indices]
         want = (len(indices), self.inputs.dim)
-        rows = np.asarray(self.inputs.draw(self._rng_stream_data, want[0]), dtype=np.float64)
+        name = getattr(self.inputs.draw, "__qualname__", "draw")
+        where = f"step {self.t + 1}: input stream {name}"
+        rows = st._float64(where, self.inputs.draw(self._rng_stream_data, want[0]))
         if rows.shape != want or not np.isfinite(rows).all():
             got = f"shape {rows.shape}" if rows.shape != want else "non-finite rows"
-            name = getattr(self.inputs.draw, "__qualname__", "draw")
-            raise ContractViolation(f"step {self.t + 1}: input stream {name}: asked for "
-                                    f"{want[0]} rows of width {want[1]}, got {got}")
+            raise ContractViolation(f"{where}: asked for {want[0]} rows of width {want[1]}, "
+                                    f"got {got}")
         return rows
 
     # -- exchanges -------------------------------------------------------
@@ -338,23 +354,32 @@ class PipelineEngine:
                 u[:] = 0.0
 
         v = self._loss_adjoint
-        for e in range(self.E, 0, -1):
-            plan = self.plans[e - 1]  # worker 1's input is the data rows: no adjoint
-            v = st.pull_back(plan.stages, tapes.pop(), plan.params, v, plan.stage_grads, e > 1)
-            if len(plan.grad):  # a worker without parameters has nothing to update
-                if len(plan.grad) > halves.SPLIT_LEN:  # the batch mean, maybe in two halves
-                    halves.in_place(itruediv, (plan.grad,), self.B)
-                else:
-                    np.divide(plan.grad, self.B, out=plan.grad)
-                # in place: the plan's parameter views stay valid
-                u, w = self.momentum[e - 1], self.weights[e - 1]
-                if opt.kind == MOMENTUM_SGD:
-                    momentum_update(u, w, plan.grad, m_t, gamma)
-                else:
-                    adam_update(u, self.second_moment[e - 1], w, plan.grad, m_t, opt.beta2,
-                                opt.eps, gamma)
-            if e > 1:
-                v = self.backward_exchange(e - 2, v, refreshed)
+        try:
+            for e in range(self.E, 0, -1):
+                plan = self.plans[e - 1]  # worker 1's input is the data rows: no adjoint
+                if self._defers and not plan.defer:  # it writes the scratch queued jobs read
+                    halves.wait()
+                v = st.pull_back(plan.stages, tapes.pop(), plan.params, v, plan.stage_grads,
+                                 e > 1, plan.defer)
+                if len(plan.grad):  # a worker without parameters has nothing to update
+                    if plan.defer:  # the batch mean, as one queued job
+                        halves.defer(itruediv, plan.grad, self.B)
+                    elif len(plan.grad) > halves.SPLIT_LEN:  # maybe in two halves
+                        halves.in_place(itruediv, (plan.grad,), self.B)
+                    else:
+                        np.divide(plan.grad, self.B, out=plan.grad)
+                    # in place: the plan's parameter views stay valid
+                    u, w = self.momentum[e - 1], self.weights[e - 1]
+                    if opt.kind == MOMENTUM_SGD:
+                        momentum_update(u, w, plan.grad, m_t, gamma, defer=plan.defer)
+                    else:
+                        adam_update(u, self.second_moment[e - 1], w, plan.grad, m_t, opt.beta2,
+                                    opt.eps, gamma, defer=plan.defer)
+                if e > 1:
+                    v = self.backward_exchange(e - 2, v, refreshed)
+        finally:  # no queued job outlives the step, nor a step that raises
+            if self._defers:
+                halves.wait()
 
         self.t = t
         return f_fu

@@ -47,18 +47,26 @@ class OptimizerConfig:
             raise ConfigurationError("optimizer.eps: must be positive")
 
 
-def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, gamma: float):
+def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, gamma: float,
+                    defer: bool = False):
     """One momentum-SGD update, in place: u and w receive the new values
     and grad is consumed as scratch. Returns (u, w). A vector longer than
     ``halves.SPLIT_LEN`` goes to ``halves.in_place``, which may update its
-    two halves at once."""
+    two halves at once. With ``defer``, the arguments are checked here and
+    the update goes to ``halves.defer`` as one unsplit job: u and w hold
+    the new values once ``halves.wait()`` returns."""
     if not 0.0 < m_t <= 1.0 or gamma <= 0.0:
         raise ConfigurationError("need m_t in (0, 1] and gamma > 0")
-    if getattr(u, "size", 0) > halves.SPLIT_LEN:
+    if defer:  # the job is this call without defer
+        halves.defer(_momentum_update, u, w, grad, m_t, gamma)
+    elif getattr(u, "size", 0) > halves.SPLIT_LEN:
         halves.in_place(_momentum, (u, w, grad), m_t, gamma)
     else:
         _momentum(u, w, grad, m_t, gamma)
     return u, w
+
+
+_momentum_update = momentum_update  # what a deferred job runs, never a wrapper
 
 
 def _momentum(u, w, grad, m_t, gamma):
@@ -73,7 +81,7 @@ def _momentum(u, w, grad, m_t, gamma):
 
 def adam_update(
     u: np.ndarray, s: np.ndarray, w: np.ndarray, grad: np.ndarray,
-    beta1: float, beta2: float, eps: float, gamma: float,
+    beta1: float, beta2: float, eps: float, gamma: float, defer: bool = False,
 ):
     """One Adam-style update without bias correction, in place: u, s and
     w receive the new values and grad is consumed as scratch. Returns
@@ -81,15 +89,20 @@ def adam_update(
 
     Accepts degenerate beta = 1 or eps = 0 so single-step reductions can
     be exercised directly; run-level configs enforce the open ranges. Splits
-    as ``momentum_update`` does.
+    and defers as ``momentum_update`` does.
     """
     if gamma <= 0.0 or eps < 0.0 or not (0.0 < beta1 <= 1.0 and 0.0 < beta2 <= 1.0):
         raise ConfigurationError("need gamma > 0, eps >= 0, betas in (0, 1]")
-    if getattr(u, "size", 0) > halves.SPLIT_LEN:
+    if defer:
+        halves.defer(_adam_update, u, s, w, grad, beta1, beta2, eps, gamma)
+    elif getattr(u, "size", 0) > halves.SPLIT_LEN:
         halves.in_place(_adam, (u, s, w, grad), beta1, beta2, eps, gamma)
     else:
         _adam(u, s, w, grad, beta1, beta2, eps, gamma)
     return u, s, w
+
+
+_adam_update = adam_update
 
 
 def _adam(u, s, w, grad, beta1, beta2, eps, gamma):

@@ -110,9 +110,11 @@ _F64 = np.dtype(np.float64)
 
 def _float64(name: str, x) -> np.ndarray:
     try:
-        return np.asarray(x, dtype=np.float64)
+        if not np.iscomplexobj(x):  # casting a complex one would drop its imaginary part
+            return np.asarray(x, dtype=np.float64)
     except (TypeError, ValueError):
         raise ContractViolation(f"{name}: expected numbers, got {type(x).__name__}") from None
+    raise ContractViolation(f"{name}: expected real numbers, got complex {type(x).__name__}")
 
 
 def _check_vec(name: str, x: np.ndarray, dim: int) -> np.ndarray:
@@ -225,16 +227,26 @@ def stage_backward_input(
 
 def stage_backward_weight(
     stage: StageSpec, y_in: np.ndarray, w: np.ndarray, v_out: np.ndarray,
-    out: np.ndarray | None = None,
+    out: np.ndarray | None = None, defer: bool = False,
 ) -> np.ndarray:
     """Adjoint with respect to the parameters: J_w(a_e)^T v_out, summed
     over the rows (callers average by batch size). With ``out`` (a
     contiguous float64 vector of ``param_dim`` entries) the result is
-    written there and ``out`` is returned."""
+    written there and ``out`` is returned.
+
+    With ``defer``, the arguments are checked here and the whole numeric
+    body, product and bias or norm term, goes to ``halves.defer`` as one
+    job: ``out`` holds the result once ``halves.wait()`` returns, and until
+    then the caller must not write ``y_in``, ``w``, ``v_out`` or ``out``,
+    nor read ``out``. The job runs unsplit, so the bits are those of one
+    call."""
     y, v = _check_tape("y_in", stage, y_in, v_out)
     w = _check_params(w, stage.param_dim)
     out = np.empty(stage.param_dim) if out is None else out
     if stage.param_dim == 0:
+        return out
+    if defer:  # the checked arrays; the job is this call without defer
+        halves.defer(_stage_backward_weight, stage, y, w, v, out)
         return out
     if y.ndim == 1:  # a one-row batch
         y, v = y[None], v[None]
@@ -245,6 +257,9 @@ def stage_backward_weight(
     elif stage.kind == AFFINE_BIAS:
         v.sum(axis=0, out=out[rows * stage.input_dim :])
     return out
+
+
+_stage_backward_weight = stage_backward_weight  # what a deferred job runs, never a wrapper
 
 
 @dataclass(frozen=True)
@@ -322,16 +337,19 @@ def run_stages(
 
 
 def pull_back(stages: tuple[StageSpec, ...], tape: list[np.ndarray], params: list[np.ndarray],
-              v: np.ndarray, grads: list | None = None, to_input: bool = True):
+              v: np.ndarray, grads: list | None = None, to_input: bool = True,
+              defer: bool = False):
     """Pull ``v``, the adjoint of the last stage's output, back through
     ``stages``, popping each one's entry of ``tape`` (a ``run_stages`` tape
     without its last output) once it is done. Given ``grads``, weight
-    adjoints go into ``grads[idx]``, allocated where it is None. Returns
-    the first stage's input adjoint, or None without ``to_input``."""
+    adjoints go into ``grads[idx]``, allocated where it is None; with
+    ``defer``, as deferred jobs (``stage_backward_weight``), while the
+    input adjoints run here. Returns the first stage's input adjoint, or
+    None without ``to_input``."""
     for idx in reversed(range(len(stages))):
         stage, w, saved = stages[idx], params[idx], tape.pop()
         if grads is not None and stage.param_dim:
-            grads[idx] = stage_backward_weight(stage, saved, w, v, out=grads[idx])
+            grads[idx] = stage_backward_weight(stage, saved, w, v, out=grads[idx], defer=defer)
         if idx or to_input:
             v = stage_backward_input(stage, saved, w, v)
     return v if to_input else None
@@ -341,7 +359,7 @@ def chain_forward(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> 
     """Run every stage; returns the tape of ``run_stages``."""
     if len(w_all) != len(chain.stages):
         raise ContractViolation("need one parameter vector per stage")
-    return run_stages(chain.stages, np.asarray(x, dtype=np.float64), w_all)
+    return run_stages(chain.stages, _float64("x", x), w_all)
 
 
 def chain_loss(chain: ModelChain, x: np.ndarray, w_all: list[np.ndarray]) -> float:

@@ -15,7 +15,8 @@ def matmul_split(monkeypatch):
     numpy's OpenBLAS to ``threads`` and the CPUs ``os.sched_getaffinity``
     reports to ``cpus`` (None removes it, as on an OS without it), then
     clears ``halves._helpers`` so that ``halves.helper()`` looks both up
-    again. Undone after the test."""
+    again, and ``halves._deferred``, so that no job a failed test left
+    queued is waited for. Undone after the test."""
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
         get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
@@ -26,6 +27,7 @@ def matmul_split(monkeypatch):
     def setup(threads=1, cpus=(0, 1)):
         put(threads)
         monkeypatch.setattr(halves, "_helpers", {})
+        monkeypatch.setattr(halves, "_deferred", [])
         if cpus is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:

@@ -430,6 +430,16 @@ class TestSharedBehavior:
         with pytest.raises(ContractViolation, match="expected numbers, got str"):
             call(comp.topk_spec(1), "ab")
 
+    @pytest.mark.parametrize("call, x", [(comp.compress, np.array([1 + 2j, 3.0])),
+                                         (comp.compress_batch, np.array([[1 + 2j, 3.0]])),
+                                         (comp.compress, [1 + 2j, 3.0])],
+                             ids=["compress", "compress_batch", "compress-list"])
+    def test_complex_input_is_refused_not_cast(self, call, x):
+        """A cast to float64 would drop the imaginary part, with only a
+        ComplexWarning to show for it."""
+        with pytest.raises(ContractViolation, match="expected real numbers, got complex"):
+            call(comp.topk_spec(1), x)
+
     def test_quant_answers_a_batch_of_width_zero(self):
         recon, nbytes, vbytes = comp.compress_batch(comp.quant_spec(4), np.zeros((2, 0)))
         one = comp.compress(comp.quant_spec(4), np.zeros(0))  # a scale, no codes

@@ -60,7 +60,7 @@ def freeze(monkeypatch, eng):
     """Keep the engine's weights and optimizer state at their initial values:
     the engine's update functions do nothing until the test ends."""
     for name in ("momentum_update", "adam_update"):
-        monkeypatch.setattr(engine_module, name, lambda *args: None)
+        monkeypatch.setattr(engine_module, name, lambda *args, **kwargs: None)
     return eng
 
 
@@ -513,6 +513,14 @@ class TestStreamDraws:
                                                     r"got shape \(4, 6\)"):
             eng.run_iteration()
 
+    def test_complex_draw(self):
+        def rotated(rng, k):
+            return rng.standard_normal((k, 5)) * 1j
+        eng = self.engine(rotated)
+        with pytest.raises(ContractViolation, match=r"^step 1: input stream .*rotated: expected "
+                                                    r"real numbers, got complex"):
+            eng.run_iteration()
+
     def test_nan_row(self):
         draws = []
 
@@ -778,6 +786,16 @@ class TestMisc:
             init[e - 1] = np.zeros(len(init[e - 1]) + 1)
         with pytest.raises(ConfigurationError, match=message):
             PipelineEngine(chain, cfg, X, init_weights=init)
+
+    @pytest.mark.parametrize("what", ["inputs", "init_weights"])
+    def test_complex_inputs_are_refused_not_cast(self, logistic_setup, what):
+        chain, X, init = logistic_setup
+        if what == "inputs":
+            X = X + 1j
+        else:
+            init = [init[0] + 1j, init[1]]
+        with pytest.raises(ContractViolation, match=f"^{what}: expected real numbers, got complex"):
+            PipelineEngine(chain, make_config(NO_COMP, chain), X, init_weights=init)
 
     def test_wrong_compressor_count_rejected(self, logistic_setup):
         chain, X, _ = logistic_setup

@@ -1,21 +1,23 @@
 """The optimizer update, the engine's gradient scaling and compress_batch
 run as two halves, one on the helper thread, where ``halves.helper()``
-gives one (the ``matmul_split`` fixture sets that up). Each result must be
-that of the one call it replaces, bit for bit, and so must each error.
-``half_calls`` records which thread ran each half."""
+gives one (the ``matmul_split`` fixture sets that up), and a wide engine
+defers its workers' weight sides to that thread as whole jobs. Each result
+must be that of the one call it replaces, bit for bit, and so must each
+error. ``half_calls`` records which thread ran each half or job."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
 from clapping_sim import compressors as comp
-from clapping_sim import halves, stages
-from clapping_sim.engine import CLAPPING_FC, AlgoConfig, PipelineEngine
+from clapping_sim import engine, halves, stages
+from clapping_sim.engine import CLAPPING_FC, CLAPPING_FU, AlgoConfig, PipelineEngine
 from clapping_sim.errors import ContractViolation, DivergenceError
 from clapping_sim.optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from clapping_sim.rng import named_stream
-from clapping_sim.sampling import BATCH_BATCHWISE, Schedule
+from clapping_sim.sampling import BATCH_BATCHWISE, BATCH_SAMPLEWISE, Schedule, lazy_sample
 
 MAIN = threading.main_thread().ident
 ONE_CPU, TWO_CPUS = (0,), (0, 1)
@@ -28,6 +30,11 @@ def bits(a):
 def on_helper(calls, name=None):
     """How many recorded calls (of ``name``) ran on the helper thread."""
     return sum(ident != MAIN for n, ident in calls if name in (None, n))
+
+
+def on_main(calls, name):
+    """How many recorded calls of ``name`` ran on the main thread."""
+    return sum(ident == MAIN for n, ident in calls if n == name)
 
 
 def per_cpus(matmul_split, fn):
@@ -190,20 +197,27 @@ class TestCompressBatch:
         assert on_helper(half_calls) == 1
 
 
-def wide_engine(kind):
+def wide_engine(kind, variant=CLAPPING_FC, sampler=BATCH_BATCHWISE):
     """4 workers of width 512 with 128-row batches: every stage product,
-    update and compressor call is above its split constant."""
+    update and compressor call is above its split constant, so with a
+    helper workers 4, 3 and 2 defer their weight sides."""
     chain = stages.tanh_mlp_chain((512,) * 5, boundaries=(2, 4, 6))
     X = named_stream(37, "halves-wide").standard_normal((256, 512))
     opt = OptimizerConfig(kind, gamma=Schedule.constant(0.01), momentum=Schedule.constant(0.9))
-    cfg = AlgoConfig(variant=CLAPPING_FC, optimizer=opt,
+    cfg = AlgoConfig(variant=variant, optimizer=opt,
                      forward_compressors=(comp.topk_spec(51),) * 3,
                      backward_compressors=(comp.quant_spec(8),) * 3,
-                     batch_size=128, total_steps=20, seed=3, sampler_rule=BATCH_BATCHWISE,
+                     batch_size=128, total_steps=20, seed=3, sampler_rule=sampler,
                      p_schedule=Schedule.constant(0.1))
     init = [0.05 * named_stream(38, "halves-init").standard_normal(chain.worker_param_dim(e))
             for e in (1, 2, 3, 4)]
     return PipelineEngine(chain, cfg, X, init_weights=init)
+
+
+def engine_state(eng):
+    """Weights, momenta, second moments and link caches, in that order."""
+    caches = [link.cache for links in eng.links for link in links]
+    return [eng.flat_weights()] + eng.momentum + eng.second_moment + caches
 
 
 class TestWideEngine:
@@ -212,19 +226,22 @@ class TestWideEngine:
         def run():
             eng = wide_engine(kind)
             eng.run()
-            caches = [link.cache for links in eng.links for link in links]
-            return ([eng.flat_weights()] + eng.momentum + eng.second_moment + caches,
-                    eng.ledger.total_bytes())
+            return engine_state(eng), eng.ledger.total_bytes(), [p.defer for p in eng.plans]
 
         one, two = per_cpus(matmul_split, run)
         assert len(one[0]) == len(two[0]) == 4 + 4 * (kind == ADAM) + 7
         for a, b in zip(one[0], two[0]):
             assert np.array_equal(bits(a), bits(b))
         assert one[1] == two[1]
+        assert one[2] == [False] * 4 and two[2] == [False, True, True, True]
         update = "_momentum" if kind == MOMENTUM_SGD else "_adam"
-        # 20 steps: four workers' scaling and update, six compressor calls
+        # 20 steps: workers 4-2 hand their scaling and update whole to the
+        # helper, worker 1 splits both; the three forward sends split, and
+        # the three backward sends run whole here, behind deferred jobs
         names = ("itruediv", update, "topk", "uniform_quant")
-        assert [on_helper(half_calls, name) for name in names] == [20 * 4, 20 * 4, 20 * 3, 20 * 3]
+        assert [on_helper(half_calls, name) for name in names] == [20 * 4, 20 * 4, 20 * 3, 0]
+        # here: all of the one-CPU run, then worker 1's halves and every send
+        assert [on_main(half_calls, name) for name in names] == [80 + 20, 80 + 20, 60 + 60, 60 + 60]
 
     def test_divergence_texts_match_one_cpu(self, matmul_split):
         """A wide quant link that cannot encode its message names it with
@@ -261,3 +278,109 @@ class TestWideEngine:
             errors.append(str(caught.value))
         assert errors == ["step 3: non-finite forward message at boundary 0, sent by worker 1"] * 2
         assert on_helper(half_calls, "topk") == 2 * 3  # two steps' forward sends, split
+
+
+class TestDeferred:
+    def test_helper_gives_none_on_the_helper_thread(self, matmul_split):
+        matmul_split(threads=1, cpus=TWO_CPUS)
+        jobs = halves.helper()
+        assert jobs is not None
+        assert halves.run(jobs, halves.helper, (), ()) == (jobs, None)
+
+    @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS], ids=["one-cpu", "two-cpus"])
+    def test_jobs_run_in_order_and_nothing_splits_until_wait(self, cpus, matmul_split):
+        matmul_split(threads=1, cpus=cpus)
+        ran = []
+        for i in range(5):
+            halves.defer(lambda i=i: ran.append((i, threading.get_ident(), halves.helper())))
+        assert halves.helper() is None  # pending jobs, or no helper at all
+        halves.wait()
+        assert [i for i, _, _ in ran] == list(range(5))
+        assert {(ident == MAIN, split) for _, ident, split in ran} == {(cpus == ONE_CPU, None)}
+        assert (halves.helper() is None) == (cpus == ONE_CPU)
+
+    def test_many_jobs_keep_their_order_under_fast_thread_switching(self, matmul_split):
+        matmul_split(threads=1, cpus=TWO_CPUS)
+        ran, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for i in range(2000):
+                halves.defer(ran.append, i)
+                if i % 500 == 499:
+                    halves.wait()
+        finally:
+            sys.setswitchinterval(interval)
+            halves.wait()
+        assert ran == list(range(2000)) and not halves._deferred
+
+    def test_a_failing_job_skips_the_later_ones_and_wait_raises_it(self, matmul_split):
+        matmul_split(threads=1, cpus=TWO_CPUS)
+        ran = []
+
+        def fail():
+            raise FloatingPointError("the first failure")
+
+        halves.defer(ran.append, 1)
+        halves.defer(fail)
+        halves.defer(ran.append, 2)
+        with pytest.raises(FloatingPointError, match="the first failure"):
+            halves.wait()
+        assert ran == [1] and not halves._deferred
+        halves.wait()  # nothing left to raise
+
+    def test_partly_fresh_clapping_fu_matches_one_cpu_bit_for_bit(self, matmul_split,
+                                                                  monkeypatch):
+        """Partly fresh steps send their fresh rows dense and gather the
+        stale cache rows, while the weight sides run on the helper."""
+        fresh = []  # per step, the share of rows drawn fresh
+
+        def sample(*args):
+            out = lazy_sample(*args)
+            fresh.append(out[1].mean())
+            return out
+
+        monkeypatch.setattr(engine, "lazy_sample", sample)
+
+        def run():
+            eng = wide_engine(MOMENTUM_SGD, CLAPPING_FU, BATCH_SAMPLEWISE)
+            eng.run()
+            return engine_state(eng), eng.ledger.total_bytes(), [p.defer for p in eng.plans]
+
+        one, two = per_cpus(matmul_split, run)
+        assert one[2] == [False] * 4 and two[2] == [False, True, True, True]
+        for a, b in zip(one[0], two[0], strict=True):
+            assert np.array_equal(bits(a), bits(b))
+        assert one[1] == two[1]
+        partly = [0 < share < 1 for share in fresh]
+        assert partly[:20] == partly[20:] and sum(partly) > 10
+
+    def test_a_divergence_in_a_backward_send_waits_for_the_queued_jobs(self, matmul_split,
+                                                                       half_calls):
+        """Worker 3's backward message at step 3 is non-finite while its
+        weight adjoints and update are queued: the step raises one CPU's
+        text, once no job is left running, with the same state as one CPU
+        leaves (worker 4 and 3 updated, 2 and 1 not)."""
+        def diverge():
+            eng = wide_engine(MOMENTUM_SGD)
+            eng.run(2)
+            send = eng.backward_exchange
+
+            def poisoned(i, v, fresh_rows):
+                if i == 1:
+                    v = v.copy()
+                    v[100, 5] = np.inf
+                return send(i, v, fresh_rows)
+
+            eng.backward_exchange = poisoned
+            with pytest.raises(DivergenceError) as caught:
+                eng.run_iteration()
+            assert not halves._deferred  # every queued job ran before the raise
+            return str(caught.value), engine_state(eng)
+
+        one, two = per_cpus(matmul_split, diverge)
+        assert one[0] == two[0] == ("step 3: non-finite backward message at boundary 1, "
+                                    "sent by worker 3")
+        for a, b in zip(one[1], two[1], strict=True):
+            assert np.array_equal(bits(a), bits(b))
+        # step 3's updates with two CPUs: workers 4 and 3, whole, on the helper
+        assert on_helper(half_calls, "_momentum") == 2 * 4 + 2

@@ -202,6 +202,16 @@ class TestChecks:
             with pytest.raises(ContractViolation, match=f"^{names[arg]}: expected numbers, got "):
                 call(stage, *args)
 
+    @pytest.mark.parametrize("arg", [0, 1], ids=["y_in", "w"])
+    def test_complex_input_is_refused_not_cast(self, arg):
+        args = [np.ones((2, 3)), np.ones(LINEAR_3_2.param_dim)]
+        args[arg] = args[arg] + 1j
+        name = ("y_in", "w")[arg]
+        with pytest.raises(ContractViolation, match=f"^{name}: expected real numbers, got complex"):
+            st.stage_forward(LINEAR_3_2, *args)
+        with pytest.raises(ContractViolation, match="^x: expected real numbers, got complex"):
+            st.chain_loss(st.logistic_chain(2, 0.1), np.ones((2, 3)) + 1j, [np.ones(3), np.ones(0)])
+
     @pytest.mark.parametrize("stage, y_shape, v_shape", [
         (LINEAR_3_2, (4, 3), (3, 2)), (LINEAR_3_2, (3,), (2, 2)), (LINEAR_3_2, (2, 3), (2,)),
         (st.StageSpec(st.TANH, 3, 3), (3,), (4, 3)), (st.StageSpec(st.TANH, 3, 3), (4, 3), (3,)),
