@@ -271,15 +271,12 @@ def _float64(x) -> np.ndarray:
                             f"{type(x).__name__}")
 
 
-def _rows_job(spec: CompressorSpec, rng, x: np.ndarray, cache=None, resid=None):
+def _rows_job(spec: CompressorSpec, rng, x: np.ndarray, cache=None):
     """The compressor's pass over a float64 (B, d) array, or a range of
     its rows: the input check, then the kind's rows function. With
-    ``cache``, it forms x - cache (into ``resid`` if given) and checks and
-    compresses that, then adds the result into ``cache`` in place.
-    Returns the reconstruction (``cache``, with one), the body fields, and
-    for a composition each row's surviving entry count."""
-    if cache is not None:
-        x = np.subtract(x, cache, out=resid)
+    ``cache``, x is the residual against it, and the result is added into
+    ``cache`` in place. Returns the reconstruction (``cache``, with one),
+    the body fields, and for a composition each row's surviving entry count."""
     if not np.isfinite(x).all():
         raise ContractViolation("compressor input must be finite")
     if spec.widest.k > x.shape[-1]:
@@ -336,10 +333,10 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
 
     A deterministic kind other than identity, on more than _SPLIT_ENTRIES
     entries, runs on the two row halves at once where ``halves.helper()``
-    gives a helper, each half with its whole job: residual, input check,
-    rows function and cache update. A failing call raises one unsplit
-    call's exception, but the other half may have updated its own cache
-    rows by then."""
+    gives a helper, each half with its input check, rows function and
+    cache update; the residual is formed whole first. A failing call
+    raises one unsplit call's exception, but the other half may have
+    updated its own cache rows by then."""
     if type(x) is not np.ndarray or x.dtype is not _F64:  # else np.asarray returns x itself
         x = _float64(x)
     if x.ndim != 2:
@@ -351,16 +348,17 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
                f"of shape {cache.shape}")
         raise ContractViolation(f"compress_batch: {got} for a batch of shape {x.shape}; "
                                 "the cache must be a writeable float64 array of its shape")
+    if cache is not None:  # whole, so an overflow in it raises as in one call
+        x = np.subtract(x, cache)
     # identity is one copy, which halves only make slower
     if (x.size > _SPLIT_ENTRIES and not spec.stochastic and spec.kind != IDENTITY
             and x.shape[0] > 1 and (jobs := halves.helper()) is not None):
         h = x.shape[0] // 2
-        arrays = (x,) if cache is None else (x, cache, np.empty_like(x))
-        # on a failure, the check and rows function run again, alone, on the
-        # last array: x, or the residual the halves formed
+        arrays = (x,) if cache is None else (x, cache)
+        # on a failure, the check and rows function run again, alone, on x
         (top, _, top_counts), (bottom, _, counts) = halves.run(
             jobs, _rows_job, (spec, None, *(a[:h] for a in arrays)),
-            (spec, None, *(a[h:] for a in arrays)), whole=(spec, None, arrays[-1]))
+            (spec, None, *(a[h:] for a in arrays)), whole=(spec, None, x))
         recon = np.concatenate((top, bottom)) if cache is None else cache
         if counts is not None:
             counts = np.concatenate((top_counts, counts))

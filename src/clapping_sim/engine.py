@@ -140,7 +140,11 @@ class WorkerPlan(NamedTuple):
     while the sweep goes on with its input adjoints and backward send. The
     one helper runs deferred jobs in the order they were queued, so worker
     e's update has read the scratch before worker e-1's weight adjoint
-    writes it. A worker that does not defer waits for the queue first."""
+    writes it. A worker that does not defer waits for the queue first. A
+    deferred job that raises stops the step with its error once the queue
+    is drained, and the weights and momenta are as one thread leaves them;
+    but the backward sends made meanwhile have updated their link caches
+    and the ledger, past where one thread stops."""
 
     stages: tuple[st.StageSpec, ...]
     params: list[np.ndarray]
@@ -364,8 +368,6 @@ class PipelineEngine:
                 if len(plan.grad):  # a worker without parameters has nothing to update
                     if plan.defer:  # the batch mean, as one queued job
                         halves.defer(itruediv, plan.grad, self.B)
-                    elif len(plan.grad) > halves.SPLIT_LEN:  # maybe in two halves
-                        halves.in_place(itruediv, (plan.grad,), self.B)
                     else:
                         np.divide(plan.grad, self.B, out=plan.grad)
                     # in place: the plan's parameter views stay valid

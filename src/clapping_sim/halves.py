@@ -1,19 +1,18 @@
 """Numpy jobs on a helper thread: two halves of one job at once, or whole
 jobs queued behind the caller's own work.
 
-Four kinds of work run there. Three split, each cut where every output
+Three kinds of work run there. Two split, each cut where every output
 element is computed as in one call, so the bits match one call: a wide
-stage matrix product (``stages._matmul``), an optimizer update or gradient
-scaling over a long parameter vector (``in_place``) and a deterministic
-compressor over a large batch, with its error-feedback residual and cache
-update (``compressors.compress_batch``). The fourth is deferred: a whole
-job the caller does not wait for (``defer``), run in the order it was
-queued, until ``wait``. The engine defers each wide worker's weight side
-(its weight adjoints, batch mean and update) while it goes on with the
-input adjoints and the backward send. ``helper()`` decides once per
-process whether anything runs on a helper at all. Nothing splits while
-deferred jobs are pending, nor on the helper thread itself: a job there
-runs whole.
+stage matrix product (``stages._matmul``) and a deterministic compressor
+over a large batch, with its error-feedback cache update
+(``compressors.compress_batch``). The third is deferred: a whole job the
+caller does not wait for (``defer``), run in the order it was queued,
+until ``wait``. The engine defers each wide worker's weight side (its
+weight adjoints, batch mean and update) while it goes on with the input
+adjoints and the backward send. ``helper()`` decides once per process
+whether anything runs on a helper at all. Nothing splits while deferred
+jobs are pending, nor on the helper thread itself: a job there runs
+whole.
 
 The helper runs each job under the caller's numpy error state (numpy
 keeps it per thread) and calls only numpy and private functions, never a
@@ -30,7 +29,6 @@ import threading
 
 import numpy as np
 
-SPLIT_LEN = 1 << 17  # vector length above which callers hand an update to in_place
 _helpers: dict = {}  # pid -> its helper's job queue, or None if it has none
 _deferred: list = []  # jobs deferred since the last wait(): [their done queue, count not yet
 #                       waited for, the exception of the one that failed]
@@ -81,14 +79,11 @@ def _help(jobs: queue.SimpleQueue) -> None:
         del fn, args, done  # hold no array between jobs
 
 
-def run(jobs: queue.SimpleQueue, fn, mine: tuple, theirs: tuple, whole: tuple | None = None):
+def run(jobs: queue.SimpleQueue, fn, mine: tuple, theirs: tuple, whole: tuple):
     """(fn(*mine), fn(*theirs)), with fn(*theirs) on the helper thread at
     once. If a half raises, fn(*whole) then runs here: one unsplit call on
     what a single call of the caller would read, so the caller sees
-    exactly one call's exception. Without ``whole`` (an update, whose
-    halves have written its inputs by then) the caller gets the exception
-    of a failing half, this thread's first: one call's exception, unless
-    the two halves fail in different operations."""
+    exactly one call's exception."""
     done: queue.SimpleQueue = queue.SimpleQueue()
     jobs.put((fn, theirs, np.geterr(), np.geterrcall(), done))
     try:
@@ -101,25 +96,8 @@ def run(jobs: queue.SimpleQueue, fn, mine: tuple, theirs: tuple, whole: tuple | 
         failed = theirs_failed
     if failed is None:
         return ours, out
-    if whole is not None:
-        fn(*whole)
+    fn(*whole)
     raise failed
-
-
-def in_place(fn, arrays: tuple, *args) -> None:
-    """fn(*arrays, *args), an elementwise update that writes into the
-    equal-length vectors ``arrays``: on their two halves at once, if they
-    are separate buffers and ``helper()`` gives a helper. Callers hand over
-    only vectors longer than SPLIT_LEN, so a short one's update costs them
-    one comparison."""
-    shape = arrays[0].shape
-    if ((jobs := helper()) is None
-            or any(type(a) is not np.ndarray or a.ndim != 1 or a.shape != shape for a in arrays)
-            or any(np.may_share_memory(a, b) for i, a in enumerate(arrays) for b in arrays[:i])):
-        fn(*arrays, *args)
-        return
-    h = shape[0] // 2
-    run(jobs, fn, tuple(a[:h] for a in arrays) + args, tuple(a[h:] for a in arrays) + args)
 
 
 def defer(fn, *args) -> None:

@@ -40,9 +40,10 @@ def matmul_split(monkeypatch):
 @pytest.fixture
 def half_calls(monkeypatch):
     """A list that gets ``(name, thread id)`` for every call of the private
-    functions the optimizer, the engine's gradient scaling and
-    ``compress_batch`` run as halves: ``optim._momentum``, ``optim._adam``,
-    ``engine.itruediv`` and each kind's rows function."""
+    functions that may run on the helper: the optimizer updates and the
+    engine's batch mean, which a wide engine defers whole
+    (``optim._momentum``, ``optim._adam``, ``engine.itruediv``), and each
+    kind's rows function, which ``compress_batch`` runs as halves."""
     calls = []
 
     def spy(name, fn):

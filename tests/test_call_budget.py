@@ -46,14 +46,14 @@ MLP = {
 # (Python calls, C calls) over the STEPS counted steps
 BUDGET = {
     "python 3.11; numpy 2.4.6": {
-        "logistic/no_comp": (9800, 6000),
-        "logistic/direct": (9800, 5800),
-        "logistic/forward_ef": (9800, 5800),
-        "logistic/aq_sgd": (9800, 5800),
-        "logistic/clapping_fc": (9224, 5416),
-        "logistic/clapping_fu": (9608, 5840),
-        "mlp/clapping_fc": (31597, 17791),
-        "mlp/clapping_fu": (35549, 20955),
+        "logistic/no_comp": (9800, 5600),
+        "logistic/direct": (9800, 5400),
+        "logistic/forward_ef": (9800, 5400),
+        "logistic/aq_sgd": (9800, 5400),
+        "logistic/clapping_fc": (9224, 5016),
+        "logistic/clapping_fu": (9608, 5440),
+        "mlp/clapping_fc": (31597, 16591),
+        "mlp/clapping_fu": (35549, 19755),
     },
 }
 

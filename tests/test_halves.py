@@ -1,9 +1,9 @@
-"""The optimizer update, the engine's gradient scaling and compress_batch
-run as two halves, one on the helper thread, where ``halves.helper()``
-gives one (the ``matmul_split`` fixture sets that up), and a wide engine
-defers its workers' weight sides to that thread as whole jobs. Each result
-must be that of the one call it replaces, bit for bit, and so must each
-error. ``half_calls`` records which thread ran each half or job."""
+"""The stage products and compress_batch run as two halves, one on the
+helper thread, where ``halves.helper()`` gives one (the ``matmul_split``
+fixture sets that up), and a wide engine defers its workers' weight sides
+to that thread as whole jobs. Each result must be that of the one call it
+replaces, bit for bit, and so must each error. ``half_calls`` records
+which thread ran each half or job."""
 
 import sys
 import threading
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from clapping_sim import compressors as comp
-from clapping_sim import engine, halves, stages
+from clapping_sim import engine, halves, optim, stages
 from clapping_sim.engine import CLAPPING_FC, CLAPPING_FU, AlgoConfig, PipelineEngine
 from clapping_sim.errors import ContractViolation, DivergenceError
 from clapping_sim.optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
@@ -46,13 +46,10 @@ def per_cpus(matmul_split, fn):
     return got
 
 
-L = halves.SPLIT_LEN
-
-
 class TestUpdates:
-    @pytest.mark.parametrize("n", [L - 1, L, L + 1, 2 * L + 3])
+    @pytest.mark.parametrize("n", [1000, (1 << 18) + 3])
     @pytest.mark.parametrize("kind", ["momentum", "adam"])
-    def test_update_matches_one_call_bit_for_bit(self, kind, n, matmul_split, half_calls):
+    def test_update_runs_whole_on_the_calling_thread(self, kind, n, matmul_split, half_calls):
         rng = named_stream(30, f"halves-{kind}")
         state = [rng.standard_normal(n) * 10.0 ** rng.integers(-3, 3) for _ in range(4)]
         state[1] = np.abs(state[1])  # Adam's second moment
@@ -68,47 +65,55 @@ class TestUpdates:
         one, two = per_cpus(matmul_split, update)
         for a, b in zip(one, two):
             assert np.array_equal(bits(a), bits(b))
-        # split only above the constant, and then half of it on the helper
-        assert on_helper(half_calls) == (n > L)
-        assert len(half_calls) == 2 + (n > L)
+        assert len(half_calls) == 2 and on_helper(half_calls) == 0
 
-    def test_updates_on_shared_buffers_run_as_one_call(self, matmul_split, half_calls):
-        w0 = named_stream(31, "halves-shared").standard_normal(2 * L + 1)
 
-        def update():
-            w = w0.copy()
-            momentum_update(w[1:], w[:-1], w[1:].copy(), 0.5, 0.1)  # u and w overlap
-            return w
+def deferred_update():
+    """A deferred momentum update whose gamma * u overflows, in multiply."""
+    u = named_stream(32, "halves-errstate").standard_normal((1 << 18) + 1)
+    u[-10] = 1e300
+    w, g = np.zeros_like(u), np.ones_like(u)
+    momentum_update(u, w, g, 0.5, 1e10, defer=True)
+    halves.wait()
+    return w
 
-        one, two = per_cpus(matmul_split, update)
-        assert np.array_equal(bits(one), bits(two))
-        assert on_helper(half_calls) == 0
 
-    @pytest.mark.parametrize("half", ["first", "second"])
-    def test_halves_run_under_the_callers_error_state(self, half, matmul_split, half_calls):
-        """numpy's error state is per thread: the helper's half takes the
-        caller's, whichever half overflows (gamma * u, in multiply)."""
-        n = 2 * L + 1
-        u0 = named_stream(32, "halves-errstate").standard_normal(n)
-        u0[10 if half == "first" else n - 10] = 1e300
+def split_ef(peak, entry):
+    """A wide top-k error-feedback call with one extreme entry in row 100,
+    in the helper's row half: ``peak`` in x, ``entry`` in the cache."""
+    x, cache = np.ones((128, 512)), np.zeros((128, 512))
+    x[100, 5], cache[100, 5] = peak, entry
+    comp.compress_batch(comp.topk_spec(51), x, cache=cache)
+    return cache
 
-        def update(**state):
-            u, w, g = u0.copy(), np.zeros(n), np.ones(n)
-            with np.errstate(**state):
-                momentum_update(u, w, g, 0.5, 1e10)
-            return w
+
+class TestErrorState:
+    @pytest.mark.parametrize("job, error, helped", [
+        (deferred_update, "overflow encountered in multiply", 2),
+        # x - cache overflows: formed before the split, as one call forms it
+        (lambda: split_ef(1e308, -1e308), "overflow encountered in subtract", 0),
+        # x - cache is finite, and only the helper's cache update overflows
+        (lambda: split_ef(np.finfo(float).max, np.ldexp(3.0, 970)),
+         "overflow encountered in add", 2),
+    ], ids=["deferred-update", "ef-subtract", "ef-add"])
+    def test_helper_runs_under_the_callers_error_state(self, job, error, helped, matmul_split,
+                                                      half_calls):
+        """numpy's error state is per thread: a deferred job and a split
+        call's halves take the caller's, and an overflow raises one call's
+        error whichever thread meets it."""
+        def outcome(**state):
+            try:
+                with np.errstate(**state):
+                    return bits(job())
+            except Exception as exc:
+                return type(exc), str(exc)
 
         # pytest turns any RuntimeWarning into an error, so this is silence
-        one, two = per_cpus(matmul_split, lambda: update(over="ignore"))
-        assert np.array_equal(bits(one), bits(two)) and np.isinf(two).sum() == 1
-        errors = []
-        for cpus in (ONE_CPU, TWO_CPUS):
-            matmul_split(threads=1, cpus=cpus)
-            with pytest.raises(FloatingPointError) as caught:
-                update(over="raise")
-            errors.append(str(caught.value))
-        assert errors == ["overflow encountered in multiply"] * 2
-        assert on_helper(half_calls) == 2
+        one, two = per_cpus(matmul_split, lambda: outcome(over="ignore"))
+        assert type(one) is type(two) and np.array_equal(one, two)
+        assert per_cpus(matmul_split, lambda: outcome(over="raise")) == [
+            (FloatingPointError, error)] * 2
+        assert on_helper(half_calls) == helped
 
 
 SPECS = {
@@ -236,12 +241,13 @@ class TestWideEngine:
         assert one[2] == [False] * 4 and two[2] == [False, True, True, True]
         update = "_momentum" if kind == MOMENTUM_SGD else "_adam"
         # 20 steps: workers 4-2 hand their scaling and update whole to the
-        # helper, worker 1 splits both; the three forward sends split, and
+        # helper, worker 1 runs both here; the three forward sends split, and
         # the three backward sends run whole here, behind deferred jobs
         names = ("itruediv", update, "topk", "uniform_quant")
-        assert [on_helper(half_calls, name) for name in names] == [20 * 4, 20 * 4, 20 * 3, 0]
-        # here: all of the one-CPU run, then worker 1's halves and every send
-        assert [on_main(half_calls, name) for name in names] == [80 + 20, 80 + 20, 60 + 60, 60 + 60]
+        assert [on_helper(half_calls, name) for name in names] == [20 * 3, 20 * 3, 20 * 3, 0]
+        # here: all of the one-CPU run, then worker 1's update and every send;
+        # a batch mean that is not deferred calls np.divide, not itruediv
+        assert [on_main(half_calls, name) for name in names] == [0, 80 + 20, 60 + 60, 60 + 60]
 
     def test_divergence_texts_match_one_cpu(self, matmul_split):
         """A wide quant link that cannot encode its message names it with
@@ -285,7 +291,7 @@ class TestDeferred:
         matmul_split(threads=1, cpus=TWO_CPUS)
         jobs = halves.helper()
         assert jobs is not None
-        assert halves.run(jobs, halves.helper, (), ()) == (jobs, None)
+        assert halves.run(jobs, halves.helper, (), (), whole=()) == (jobs, None)
 
     @pytest.mark.parametrize("cpus", [ONE_CPU, TWO_CPUS], ids=["one-cpu", "two-cpus"])
     def test_jobs_run_in_order_and_nothing_splits_until_wait(self, cpus, matmul_split):
@@ -383,4 +389,34 @@ class TestDeferred:
         for a, b in zip(one[1], two[1], strict=True):
             assert np.array_equal(bits(a), bits(b))
         # step 3's updates with two CPUs: workers 4 and 3, whole, on the helper
-        assert on_helper(half_calls, "_momentum") == 2 * 4 + 2
+        assert on_helper(half_calls, "_momentum") == 2 * 3 + 2
+
+    def test_a_failing_deferred_update_raises_one_threads_error(self, matmul_split, monkeypatch):
+        """Worker 3's update raises at step 3, once it has written its
+        momenta and weights: the step raises that error once no job is
+        left running, and the weights and momenta are as one thread leaves
+        them (workers 4 and 3 updated, 2 and 1 not). The backward sends the
+        main thread made meanwhile have updated their caches and the
+        ledger, past where one thread stops, so those are not compared."""
+        update = optim._momentum
+
+        def diverge():
+            eng = wide_engine(MOMENTUM_SGD)
+            eng.run(2)
+
+            def failing(u, *args):
+                update(u, *args)
+                if u is eng.momentum[2]:
+                    raise FloatingPointError("worker 3's update")
+
+            monkeypatch.setattr(optim, "_momentum", failing)
+            with pytest.raises(FloatingPointError) as caught:
+                eng.run_iteration()
+            monkeypatch.setattr(optim, "_momentum", update)
+            assert not halves._deferred  # every queued job ran or was skipped
+            return str(caught.value), [eng.flat_weights()] + eng.momentum
+
+        one, two = per_cpus(matmul_split, diverge)
+        assert one[0] == two[0] == "worker 3's update"
+        for a, b in zip(one[1], two[1], strict=True):
+            assert np.array_equal(bits(a), bits(b))

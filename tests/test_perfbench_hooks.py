@@ -204,22 +204,22 @@ def traced_wide_run():
 
 
 def test_split_products_keep_the_tracer_on_the_main_thread(matmul_split, half_calls):
-    """With BLAS on one thread, as perfbench runs it, the wide stage products,
-    the updates with their gradient scaling and the compressor calls run
-    half on a helper thread, and workers 4-2 defer their weight adjoints,
-    scaling and update to it as whole jobs. The helper calls only numpy
-    and private functions, so every traced call still opens and closes its
-    span on the main thread, in order, and each op records the same spans
-    as with one CPU allowed, where nothing is split or deferred."""
+    """With BLAS on one thread, as perfbench runs it, the wide stage
+    products and the compressor calls run half on a helper thread, and
+    workers 4-2 defer their weight adjoints, scaling and update to it as
+    whole jobs. The helper calls only numpy and private functions, so every
+    traced call still opens and closes its span on the main thread, in
+    order, and each op records the same spans as with one CPU allowed,
+    where nothing is split or deferred."""
     matmul_split(threads=1, cpus=(0, 1))
     two_cpus, threads = traced_wide_run()
     assert halves._helpers[os.getpid()] is not None  # the products were split
     assert threads == {threading.main_thread().ident}
     helper = Counter(name for name, ident in half_calls if ident != threading.main_thread().ident)
-    # three steps: workers 4-2's scaling and update whole, worker 1's halves
-    # of both, and the three forward top-k sends; the backward sends run
-    # whole on the main thread while deferred jobs are pending
-    assert helper == {"itruediv": 3 * (3 + 1), "_momentum": 3 * (3 + 1), "topk": 3 * 3}
+    # three steps: workers 4-2's scaling and update whole, and the three
+    # forward top-k sends; worker 1's scaling and update and the backward
+    # sends run whole on the main thread
+    assert helper == {"itruediv": 3 * 3, "_momentum": 3 * 3, "topk": 3 * 3}
     matmul_split(threads=1, cpus=(0,))
     half_calls.clear()
     one_cpu, _ = traced_wide_run()
