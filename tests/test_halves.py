@@ -67,6 +67,21 @@ class TestUpdates:
             assert np.array_equal(bits(a), bits(b))
         assert len(half_calls) == 2 and on_helper(half_calls) == 0
 
+    def test_updates_on_shared_buffers_run_as_one_call(self, matmul_split, half_calls):
+        """u and w overlap: run here or deferred, the update is one call."""
+        w0 = named_stream(31, "halves-shared").standard_normal((1 << 18) + 1)
+
+        def update(defer):
+            w = w0.copy()
+            momentum_update(w[1:], w[:-1], w[1:].copy(), 0.5, 0.1, defer=defer)
+            halves.wait()
+            return w
+
+        one, two = per_cpus(matmul_split, lambda: [update(False), update(True)])
+        for got in (one[1], *two):
+            assert np.array_equal(bits(got), bits(one[0]))
+        assert on_helper(half_calls) == 1  # the deferred one, with two CPUs
+
 
 def deferred_update():
     """A deferred momentum update whose gamma * u overflows, in multiply."""
@@ -78,11 +93,22 @@ def deferred_update():
     return w
 
 
-def split_ef(peak, entry):
-    """A wide top-k error-feedback call with one extreme entry in row 100,
-    in the helper's row half: ``peak`` in x, ``entry`` in the cache."""
+def deferred_adam():
+    """A deferred Adam update whose g**2 overflows, in square."""
+    g = named_stream(33, "halves-errstate").standard_normal((1 << 18) + 1)
+    g[-10] = 1e200
+    u, s, w = np.zeros_like(g), np.ones_like(g), np.zeros_like(g)
+    adam_update(u, s, w, g, 0.9, 0.999, 1e-8, 0.0125, defer=True)
+    halves.wait()
+    return w
+
+
+def split_ef(peak, entry, row=100):
+    """A wide top-k error-feedback call with one extreme entry in ``row``
+    (100 is in the helper's row half, 10 in the caller's): ``peak`` in x,
+    ``entry`` in the cache."""
     x, cache = np.ones((128, 512)), np.zeros((128, 512))
-    x[100, 5], cache[100, 5] = peak, entry
+    x[row, 5], cache[row, 5] = peak, entry
     comp.compress_batch(comp.topk_spec(51), x, cache=cache)
     return cache
 
@@ -90,12 +116,20 @@ def split_ef(peak, entry):
 class TestErrorState:
     @pytest.mark.parametrize("job, error, helped", [
         (deferred_update, "overflow encountered in multiply", 2),
+        (deferred_adam, "overflow encountered in square", 2),
         # x - cache overflows: formed before the split, as one call forms it
         (lambda: split_ef(1e308, -1e308), "overflow encountered in subtract", 0),
+        # (ignored, the inf fails the caller's half's input check, while
+        # the helper's half runs its rows)
+        (lambda: split_ef(1e308, -1e308, row=10), "overflow encountered in subtract", 1),
         # x - cache is finite, and only the helper's cache update overflows
         (lambda: split_ef(np.finfo(float).max, np.ldexp(3.0, 970)),
          "overflow encountered in add", 2),
-    ], ids=["deferred-update", "ef-subtract", "ef-add"])
+        # the same in the caller's half, while the helper's half succeeds
+        (lambda: split_ef(np.finfo(float).max, np.ldexp(3.0, 970), row=10),
+         "overflow encountered in add", 2),
+    ], ids=["deferred-update", "deferred-adam", "ef-subtract", "ef-subtract-caller-half",
+            "ef-add", "ef-add-caller-half"])
     def test_helper_runs_under_the_callers_error_state(self, job, error, helped, matmul_split,
                                                       half_calls):
         """numpy's error state is per thread: a deferred job and a split
