@@ -101,6 +101,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a config whose arrays cannot be allocated
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 3

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import halves, wire
+from . import halves, stages, wire
 from .errors import ConfigurationError, ContractViolation
 
 IDENTITY = "identity"
@@ -257,20 +257,6 @@ def check_width(spec: CompressorSpec, dim: int, where: str = "compressor") -> No
                                  f"exceeds input dimension {dim}")
 
 
-_F64 = np.dtype(np.float64)
-
-
-def _float64(x) -> np.ndarray:
-    try:
-        if not np.iscomplexobj(x):  # casting a complex one would drop its imaginary part
-            return np.asarray(x, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ContractViolation(
-            f"compressor input: expected numbers, got {type(x).__name__}") from None
-    raise ContractViolation(f"compressor input: expected real numbers, got complex "
-                            f"{type(x).__name__}")
-
-
 def _rows_job(spec: CompressorSpec, rng, x: np.ndarray, cache=None):
     """The compressor's pass over a float64 (B, d) array, or a range of
     its rows: the input check, then the kind's rows function. With
@@ -302,11 +288,12 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
     """Compress one vector; returns the reconstruction, exact wire byte
     counts, and the structured body the codec can serialize. This is the
     one-row case of compress_batch and makes the same stream draws."""
-    x = _float64(x)
+    x = stages._float64("compressor input", x)
     if x.ndim != 1:
         raise ContractViolation("compress takes a single vector; use compress_batch for rows")
     recon, fields, _ = _rows_job(spec, rng, x[None])
     recon, fields = recon[0], [f[0] for f in fields]
+    idx = ()  # the indices a sparse or composed body sends
     if spec.fmt == wire.FMT_SPARSE:  # exactly the k selected entries, zero-valued ones too
         idx = np.flatnonzero(fields[0])
         body = wire.WireBody(fmt=spec.fmt, dim=len(x), indices=idx, values=recon[idx])
@@ -318,7 +305,9 @@ def compress(spec: CompressorSpec, x: np.ndarray, rng=None) -> CompressedPayload
                              inner=_value_block(spec.value_fmt, spec.wire_bits, recon, fields, idx))
     else:
         body = _value_block(spec.fmt, spec.wire_bits, recon, fields, slice(None))
-    return CompressedPayload(recon, *wire.body_sizes(body), body)
+    # the arguments compress_batch passes, for one row
+    sizes = wire.sizes(spec.fmt, len(x), len(idx), spec.wire_bits, spec.value_fmt)
+    return CompressedPayload(recon, *sizes, body)
 
 
 def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
@@ -337,11 +326,11 @@ def compress_batch(spec: CompressorSpec, x: np.ndarray, rng=None, cache=None):
     cache update; the residual is formed whole first. A failing call
     raises one unsplit call's exception, but the other half may have
     updated its own cache rows by then."""
-    if type(x) is not np.ndarray or x.dtype is not _F64:  # else np.asarray returns x itself
-        x = _float64(x)
+    if type(x) is not np.ndarray or x.dtype is not stages._F64:  # else np.asarray returns x itself
+        x = stages._float64("compressor input", x)
     if x.ndim != 2:
         raise ContractViolation("compress_batch takes a (B, d) array")
-    if cache is not None and not (type(cache) is np.ndarray and cache.dtype is _F64
+    if cache is not None and not (type(cache) is np.ndarray and cache.dtype is stages._F64
                                   and cache.shape == x.shape and cache.flags.writeable):
         got = (f"cache of type {type(cache).__name__}" if not isinstance(cache, np.ndarray)
                else f"{'' if cache.flags.writeable else 'read-only '}{cache.dtype} cache "

@@ -51,18 +51,16 @@ def momentum_update(u: np.ndarray, w: np.ndarray, grad: np.ndarray, m_t: float, 
                     defer: bool = False):
     """One momentum-SGD update, in place: u and w receive the new values
     and grad is consumed as scratch. Returns (u, w). With ``defer``, the
-    arguments are checked here and the update goes to ``halves.defer`` as
-    one job: u and w hold the new values once ``halves.wait()`` returns."""
+    arguments are checked here and the private body goes to
+    ``halves.defer`` as one job: u and w hold the new values once
+    ``halves.wait()`` returns."""
     if not 0.0 < m_t <= 1.0 or gamma <= 0.0:
         raise ConfigurationError("need m_t in (0, 1] and gamma > 0")
-    if defer:  # the job is this call without defer
-        halves.defer(_momentum_update, u, w, grad, m_t, gamma)
+    if defer:
+        halves.defer(_momentum, u, w, grad, m_t, gamma)
     else:
         _momentum(u, w, grad, m_t, gamma)
     return u, w
-
-
-_momentum_update = momentum_update  # what a deferred job runs, never a wrapper
 
 
 def _momentum(u, w, grad, m_t, gamma):
@@ -90,13 +88,10 @@ def adam_update(
     if gamma <= 0.0 or eps < 0.0 or not (0.0 < beta1 <= 1.0 and 0.0 < beta2 <= 1.0):
         raise ConfigurationError("need gamma > 0, eps >= 0, betas in (0, 1]")
     if defer:
-        halves.defer(_adam_update, u, s, w, grad, beta1, beta2, eps, gamma)
+        halves.defer(_adam, u, s, w, grad, beta1, beta2, eps, gamma)
     else:
         _adam(u, s, w, grad, beta1, beta2, eps, gamma)
     return u, s, w
-
-
-_adam_update = adam_update
 
 
 def _adam(u, s, w, grad, beta1, beta2, eps, gamma):

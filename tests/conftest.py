@@ -57,3 +57,9 @@ def half_calls(monkeypatch):
     for kind, row in list(comp.KIND_TABLE.items()):
         monkeypatch.setitem(comp.KIND_TABLE, kind, row._replace(rows=spy(kind, row.rows)))
     return calls
+
+
+def pytest_collection_modifyitems(items):
+    """The slow tests run last, so that the fast tests run while the slow
+    ones' runs fill the pool ``test_acceptance.slow_runs`` starts."""
+    items.sort(key=lambda item: item.get_closest_marker("slow") is not None)

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL
 line. Criterion 1 drives five full 200k-step benchmark runs and criterion
-10 three horizons of up to 160k steps, each on two worker processes;
-everything else is seconds."""
+10 three horizons of up to 160k steps, all on one pool of two worker
+processes; everything else is seconds."""
 
 import math
 import multiprocessing
@@ -22,15 +22,69 @@ from clapping_sim.rng import named_stream
 from clapping_sim.sampling import BATCH_BATCHWISE, BATCH_SAMPLEWISE, Schedule
 
 BENCH_VARIANTS = ("no_comp", "direct", "forward_ef", "clapping_fc", "clapping_fu")
+HORIZONS = (10_000, 40_000, 160_000)
 
 
-def run_experiments(jobs):
-    """Metric columns of each (config, csv path) run, in order. The runs are
-    independent and seeded, so two spawned processes run them side by side;
-    the CSVs are read here."""
-    with ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn")) as pool:
-        paths = list(pool.map(H.run_experiment, *zip(*jobs)))
-    return [H.read_metrics(path) for path in paths]
+def benchmark_jobs(out):
+    return [(H.logistic_benchmark_config(variant, seed=0), out / f"{variant}.csv")
+            for variant in BENCH_VARIANTS]
+
+
+def trend_jobs(out):
+    jobs = []
+    for T in HORIZONS:
+        scale = math.sqrt(10_000 / T)
+        raw = {
+            "dataset.kind": "synthetic_logistic",
+            "dataset.n": "1024", "dataset.dim": "200", "dataset.seed": "7",
+            "algo.variant": "clapping_fu",
+            "algo.batch_size": "128",
+            "algo.total_steps": str(T),
+            "algo.seed": "0",
+            "algo.sampler_rule": BATCH_BATCHWISE,
+            "algo.force_fresh_step2": "true",
+            "optimizer.gamma": repr(0.1 * scale),
+            "optimizer.momentum": repr(min(1.0, 0.3 * scale)),
+            "sampling.p": "0.4",
+            "compressor.forward": "inject_uniform:0.2",
+            "compressor.backward": "identity",
+            "run.log_every": "50",
+        }
+        jobs.append((H.config_from_mapping(raw), out / f"trend-{T}.csv"))
+    return jobs
+
+
+SLOW_JOBS = {"test_criterion_1_benchmark_reproduction": benchmark_jobs,
+             "test_criterion_10_advisory_rate_trend": trend_jobs}
+
+
+@pytest.fixture(scope="session", autouse=True)
+def slow_runs(request, tmp_path_factory):
+    """The (config, csv path) runs of each selected slow test, as futures by
+    test name. The runs are independent and seeded, so all of them go to
+    one pool of two spawned processes at once, longest first, and no
+    process idles while another test's runs wait. It starts with this
+    module's first test, and the slow tests run last (``conftest.py``),
+    so the fast tests run meanwhile."""
+    selected = {item.name for item in request.session.items}
+    jobs = [(name, cfg, path) for name, make in SLOW_JOBS.items() if name in selected
+            for cfg, path in make(tmp_path_factory.mktemp(name))]
+    pool = ProcessPoolExecutor(2, mp_context=multiprocessing.get_context("spawn"))
+    submitted = {path: pool.submit(H.run_experiment, cfg, path)
+                 for _, cfg, path in sorted(jobs, key=lambda job: -job[1].algo.total_steps)}
+    futures = {name: [] for name in SLOW_JOBS}
+    for name, _, path in jobs:
+        futures[name].append(submitted[path])
+    try:
+        yield futures
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def run_experiments(request, slow_runs):
+    """Metric columns of each of the calling test's runs, in the order its
+    jobs list them; a run that failed raises here, in its own test."""
+    return [H.read_metrics(future.result()) for future in slow_runs[request.node.name]]
 
 
 def report(num, ok, detail):
@@ -40,14 +94,13 @@ def report(num, ok, detail):
 
 
 @pytest.mark.slow
-def test_criterion_1_benchmark_reproduction(tmp_path):
+def test_criterion_1_benchmark_reproduction(request, slow_runs):
     """Five-variant benchmark: the lossless, lazily-sampled, and
     first-step-uncompressed runs end at least 100x below the plateaus of
     direct compression and forward-only error feedback; the
     first-step-uncompressed run ends no higher than the always-compressed
     one; direct compression's gap stops decreasing."""
-    runs = run_experiments([(H.logistic_benchmark_config(variant, seed=0),
-                             tmp_path / f"{variant}.csv") for variant in BENCH_VARIANTS])
+    runs = run_experiments(request, slow_runs)
     gaps = {v: float(cols["loss_gap"][-1]) for v, cols in zip(BENCH_VARIANTS, runs)}
     direct_cols = runs[BENCH_VARIANTS.index("direct")]
 
@@ -220,40 +273,18 @@ def test_criterion_9_error_propagation_bounds():
 
 
 @pytest.mark.slow
-def test_criterion_10_advisory_rate_trend(tmp_path):
+def test_criterion_10_advisory_rate_trend(request, slow_runs):
     """Advisory (not pass/fail): with step sizes and momentum scaled as
     1/sqrt(T), the run-averaged squared gradient norm of the
     first-step-uncompressed variant should fall with T at a fitted
     exponent around -0.5; the fit is reported, not asserted, since
     desk-scale constants and noise make exponent certification
     unreliable."""
-    horizons = (10_000, 40_000, 160_000)
-    jobs = []
-    for T in horizons:
-        scale = math.sqrt(10_000 / T)
-        raw = {
-            "dataset.kind": "synthetic_logistic",
-            "dataset.n": "1024", "dataset.dim": "200", "dataset.seed": "7",
-            "algo.variant": "clapping_fu",
-            "algo.batch_size": "128",
-            "algo.total_steps": str(T),
-            "algo.seed": "0",
-            "algo.sampler_rule": BATCH_BATCHWISE,
-            "algo.force_fresh_step2": "true",
-            "optimizer.gamma": repr(0.1 * scale),
-            "optimizer.momentum": repr(min(1.0, 0.3 * scale)),
-            "sampling.p": "0.4",
-            "compressor.forward": "inject_uniform:0.2",
-            "compressor.backward": "identity",
-            "run.log_every": "50",
-        }
-        jobs.append((H.config_from_mapping(raw), tmp_path / f"trend-{T}.csv"))
-    # the longest horizon first, so that the two shorter ones share the other process
-    runs = run_experiments(jobs[::-1])[::-1]
+    runs = run_experiments(request, slow_runs)
     averages = [float(np.mean(cols["grad_norm"] ** 2)) for cols in runs]
 
-    slope = np.polyfit(np.log(horizons), np.log(averages), 1)[0]
+    slope = np.polyfit(np.log(HORIZONS), np.log(averages), 1)[0]
     ok = np.isfinite(slope)
     hint = "consistent with the square-root rate" if slope <= -0.35 else "flatter than expected"
-    report(10, ok, f"ADVISORY fitted exponent {slope:.3f} over T={horizons} "
+    report(10, ok, f"ADVISORY fitted exponent {slope:.3f} over T={HORIZONS} "
                    f"(averages {', '.join(f'{a:.3e}' for a in averages)}); {hint}")

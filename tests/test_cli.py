@@ -263,3 +263,20 @@ def test_a_size_numpy_cannot_describe_is_a_config_error(tmp_path, capsys, monkey
     assert main(["run", str(path), "--out", str(tmp_path / "m.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command, target", [
+    ("run", "clapping_sim.harness.run_experiment"),
+    ("fstar", "clapping_sim.harness.build_problem"),
+])
+def test_a_config_too_large_to_allocate_is_one_config_error_line(config_path, capsys,
+                                                                 monkeypatch, command, target):
+    def allocate(*args):
+        raise MemoryError("Unable to allocate 14.2 PiB for an array")
+
+    monkeypatch.setattr(target, allocate)
+    assert main([command, str(config_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["config error: out of memory: Unable to allocate 14.2 PiB "
+                                "for an array"]

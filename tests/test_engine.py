@@ -9,6 +9,7 @@ from clapping_sim import compressors as comp
 from clapping_sim import engine as engine_module
 from clapping_sim import harness
 from clapping_sim import stages as st
+from clapping_sim import wire
 from clapping_sim.engine import (AQ_SGD, CLAPPING_FC, CLAPPING_FU, DIRECT, FORWARD_EF,
                                  NO_COMP, VARIANT_POLICY, AlgoConfig, PipelineEngine,
                                  StreamingInputs)
@@ -833,6 +834,22 @@ class TestMisc:
         d = chain.boundary_dim(0)
         total_bytes = 4 * 4 * d * 2  # four steps, dense both directions
         assert eng.ledger.simulated_seconds == pytest.approx(total_bytes * 8 / 1e6)
+
+    def test_ledger_counts_sparse_value_bytes_apart_from_payload(self):
+        # 5 steps of 4 rows over the 8-wide boundary, top-3 forward and
+        # top-2 backward: a sparse body's value bytes leave out its indices
+        cfg = harness.config_from_mapping({
+            "dataset.kind": "synthetic_mlp", "model.dims": "6,8,5", "model.boundaries": "2",
+            "algo.variant": "direct", "algo.batch_size": "4",
+            "algo.sampler_rule": BATCH_BATCHWISE, "dataset.n": "16",
+            "compressor.forward": "topk:3", "compressor.backward": "topk:2",
+        })
+        chain, inputs, init, _ = harness.build_problem(cfg)
+        eng = PipelineEngine(chain, cfg.algo, inputs, init_weights=init)
+        eng.run(5)
+        fwd, bwd = (wire.sizes(wire.FMT_SPARSE, 8, k) for k in (3, 2))  # (24, 12), (16, 8)
+        assert eng.ledger.per_link == {(0, FORWARD): [5 * 4 * fwd[0], 5 * 4 * fwd[1], 5],
+                                       (0, BACKWARD): [5 * 4 * bwd[0], 5 * 4 * bwd[1], 5]}
 
     def test_step_reads_no_ledger_totals(self, logistic_setup, monkeypatch):
         # a step only records its messages; totals are read where they are logged

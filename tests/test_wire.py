@@ -521,7 +521,7 @@ class TestSizeFormula:
         messages = [wire.encode_message(0, 0, 0, p.body) for p in pays]
         encoded = [len(m) - wire.HEADER_BYTES for m in messages]
         assert nbytes == sum(encoded)
-        assert vbytes == sum(wire.body_sizes(p.body)[1] for p in pays)
+        assert vbytes == sum(p.value_bytes for p in pays)
         for msg, pay in zip(messages, pays):
             # every row decodes to its reconstruction: bit-exact for quant
             # and natural value blocks, the float32 cast of dense and sparse
