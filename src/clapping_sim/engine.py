@@ -44,7 +44,7 @@ from .errors import (ConfigurationError, ContractViolation, DivergenceError,
                      UnsupportedConfiguration)
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig, adam_update, momentum_update
 from .rng import named_stream
-from .sampling import SINGLE, SamplerState, Schedule, lazy_sample
+from .sampling import BATCH_BATCHWISE, SamplerState, Schedule, lazy_sample
 
 NO_COMP = "no_comp"
 DIRECT = "direct"
@@ -104,7 +104,7 @@ class AlgoConfig:
     batch_size: int = 1
     total_steps: int = 1
     seed: int = 0
-    sampler_rule: str = SINGLE
+    sampler_rule: str = BATCH_BATCHWISE
     p_schedule: Schedule = Schedule.constant(1.0)
     momentum_reset_steps: frozenset = frozenset()
     force_fresh_at_step_2: bool = False
@@ -114,11 +114,6 @@ class AlgoConfig:
             raise ConfigurationError(f"unknown variant {self.variant!r}")
         if self.batch_size < 1 or self.total_steps < 0:
             raise ConfigurationError("batch_size must be >= 1 and total_steps >= 0")
-        if self.batch_size > 1 and self.sampler_rule == SINGLE:
-            raise ConfigurationError(
-                f"algo.batch_size: {self.batch_size} needs a batch sampler rule, "
-                f"not algo.sampler_rule = {SINGLE}"
-            )
         if any(not 0.0 <= p <= 1.0 for _, p in self.p_schedule.table):
             raise ConfigurationError("sampling.p: every entry must be in [0, 1]")
 

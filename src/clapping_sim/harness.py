@@ -36,7 +36,7 @@ from .engine import AQ_SGD, CLAPPING_FC, VARIANT_POLICY, VARIANTS, AlgoConfig, P
 from .errors import ConfigurationError, DivergenceError
 from .optim import ADAM, MOMENTUM_SGD, OptimizerConfig
 from .rng import named_stream
-from .sampling import BATCH_BATCHWISE, RULES, SINGLE, Schedule
+from .sampling import BATCH_BATCHWISE, RULES, Schedule
 
 CSV_COLUMNS = ("step", "loss", "loss_gap", "grad_norm", "fwd_bytes", "bwd_bytes",
                "sim_seconds", "f_fu")
@@ -233,8 +233,7 @@ def config_from_mapping(raw: dict[str, str]) -> ExperimentConfig:
         batch_size=batch,
         total_steps=steps,
         seed=read("algo.seed", _int, 0, minimum=0),
-        sampler_rule=read("algo.sampler_rule", default=SINGLE if batch == 1 else BATCH_BATCHWISE,
-                          allowed=RULES),
+        sampler_rule=read("algo.sampler_rule", default=BATCH_BATCHWISE, allowed=RULES),
         p_schedule=read("sampling.p", parse_schedule, Schedule.constant(1.0)),
         momentum_reset_steps=resets,
         force_fresh_at_step_2=read("algo.force_fresh_step2", _bool, False),
@@ -299,18 +298,24 @@ def load_config(path: str | Path) -> ExperimentConfig:
 # -- run assembly ---------------------------------------------------------
 
 def build_problem(cfg: ExperimentConfig):
-    """Returns (chain, engine inputs, init weights, logistic dataset or None)."""
-    if cfg.dataset_kind == "synthetic_logistic":
-        data = ds.gen_logistic_dataset(
-            cfg.dataset_n, cfg.dataset_dim, cfg.dataset_seed,
-            feature_scale=cfg.feature_scale, noise_scale=cfg.noise_scale,
-            c_r=cfg.c_r, second_param_is_std=cfg.second_param_is_std,
-        )
-        chain = st.logistic_chain(cfg.dataset_dim, cfg.c_r)
-        return chain, data.chain_inputs(), None, data
-    chain = st.tanh_mlp_chain(cfg.model_dims, cfg.model_boundaries)
-    rng = named_stream(cfg.dataset_seed, "dataset/mlp-inputs")
-    inputs = rng.standard_normal((cfg.dataset_n, chain.input_dim))
+    """Returns (chain, engine inputs, init weights, logistic dataset or None).
+    A dataset too large to allocate is a config error under ``dataset.n``."""
+    logistic = cfg.dataset_kind == "synthetic_logistic"
+    chain = (st.logistic_chain(cfg.dataset_dim, cfg.c_r) if logistic
+             else st.tanh_mlp_chain(cfg.model_dims, cfg.model_boundaries))
+    try:
+        if logistic:
+            data = ds.gen_logistic_dataset(
+                cfg.dataset_n, cfg.dataset_dim, cfg.dataset_seed,
+                feature_scale=cfg.feature_scale, noise_scale=cfg.noise_scale,
+                c_r=cfg.c_r, second_param_is_std=cfg.second_param_is_std,
+            )
+            return chain, data.chain_inputs(), None, data
+        rng = named_stream(cfg.dataset_seed, "dataset/mlp-inputs")
+        inputs = rng.standard_normal((cfg.dataset_n, chain.input_dim))
+    except MemoryError:
+        raise ConfigurationError(f"dataset.n: a {cfg.dataset_n} x {chain.input_dim} float64 "
+                                 "dataset does not fit in memory") from None
     w_rng = named_stream(cfg.dataset_seed, "dataset/mlp-init")
     init = [0.4 * w_rng.standard_normal(chain.worker_param_dim(e))
             for e in range(1, chain.num_workers + 1)]
@@ -323,6 +328,15 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     non-finite message or logged objective raises ``DivergenceError``
     naming its step; numpy's overflow warnings on the way are not shown.
     A non-finite simulated time is a ``ConfigurationError``."""
+    out = Path(out_path) if out_path is not None else Path(cfg.output)
+    try:  # refused before any work; appending creates the file but keeps what it holds
+        existed = out.exists()
+        out.parent.mkdir(parents=True, exist_ok=True)
+        open(out, "a").close()
+    except OSError as exc:
+        raise ConfigurationError(f"{out}: cannot write metrics file ({exc.strerror})") from None
+    if not existed:
+        out.unlink()  # so a config refused while the run is built leaves no new file
     chain, inputs, init, data = build_problem(cfg)
     engine = PipelineEngine(
         chain, cfg.algo, inputs, init_weights=init,
@@ -330,13 +344,7 @@ def run_experiment(cfg: ExperimentConfig, out_path: str | Path | None = None) ->
     )
     del init  # the engine holds its own copy
     f_star = ds.compute_f_star(data) if data is not None else 0.0
-    out = Path(out_path) if out_path is not None else Path(cfg.output)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(out, "w", newline="")
-    except OSError as exc:
-        raise ConfigurationError(f"{out}: cannot write metrics file ({exc.strerror})") from None
-
+    fh = open(out, "w", newline="")
     with fh, np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)

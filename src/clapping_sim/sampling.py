@@ -3,9 +3,8 @@
 
 The first step always draws fresh. The freshness flag steers the
 first-step-uncompressed variant: a dense payload is sent exactly when a
-new sample arrived. Three rules:
+new sample arrived. Two rules:
 
-  single           one sample per step
   batch_samplewise each batch row refreshes independently; the flag is
                    raised if any row refreshed
   batch_batchwise  the whole batch is kept or replaced atomically
@@ -20,11 +19,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-SINGLE = "single"
 BATCH_SAMPLEWISE = "batch_samplewise"
 BATCH_BATCHWISE = "batch_batchwise"
 
-RULES = (SINGLE, BATCH_SAMPLEWISE, BATCH_BATCHWISE)
+RULES = (BATCH_SAMPLEWISE, BATCH_BATCHWISE)
 
 
 @dataclass(frozen=True)
@@ -72,8 +70,6 @@ class SamplerState:
     def __post_init__(self):
         if self.rule not in RULES:
             raise ConfigurationError(f"unknown sampler rule {self.rule!r}")
-        if self.rule == SINGLE and self.batch_size != 1:
-            raise ConfigurationError("single rule requires batch_size 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.n_samples < 0:
@@ -90,12 +86,12 @@ class SamplerState:
     def _draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Row draws. Batch-wise refreshes take a random subset without
         replacement (a reshuffle when the batch covers the dataset);
-        sample-wise refreshes and single draws are independent uniform
-        picks."""
+        sample-wise refreshes are independent uniform picks."""
         if self.n_samples == 0:
             out = np.arange(self.draws, self.draws + size, dtype=np.int64)
             self.draws += size
             return out
+        # one row takes the uniform pick below, so both rules draw alike at batch size 1
         if self.rule == BATCH_BATCHWISE and size > 1:
             return rng.permutation(self.n_samples)[:size]  # int64 already
         return rng.integers(0, self.n_samples, size=size, dtype=np.int64)

@@ -302,11 +302,10 @@ class TransferLedger:
         if self.bandwidth_bps <= 0:
             raise ConfigurationError("bandwidth must be positive")
 
-    def record(self, boundary: int, direction: int, nbytes: int,
-               value_nbytes: int | None = None) -> None:
+    def record(self, boundary: int, direction: int, nbytes: int, value_nbytes: int) -> None:
         counts = self.per_link.setdefault((boundary, direction), [0, 0, 0])
         counts[0] += int(nbytes)
-        counts[1] += int(nbytes if value_nbytes is None else value_nbytes)
+        counts[1] += int(value_nbytes)
         counts[2] += 1
 
     def total_bytes(self, direction: int | None = None) -> int:

@@ -4,7 +4,6 @@ import pytest
 
 from clapping_sim import harness
 from clapping_sim.cli import main
-from clapping_sim.engine import PipelineEngine
 
 CONFIG = """
 dataset.kind = synthetic_logistic
@@ -147,8 +146,10 @@ SMALL = "dataset.n = 16\ndataset.dim = 4\nalgo.total_steps = 3\nrun.log_every = 
      "model.boundaries = 2,1", [], "model.boundaries"),
     ("algo.variant = clapping_fu\nalgo.batch_size = 17\nalgo.sampler_rule = batch_batchwise",
      [], "algo.batch_size"),
-    ("algo.variant = no_comp\nalgo.batch_size = 4\nalgo.sampler_rule = single", [],
-     "algo.batch_size"),
+    ("algo.variant = no_comp\nalgo.sampler_rule = single", [],
+     "algo.sampler_rule: expected one of batch_samplewise, batch_batchwise, got 'single'"),
+    ("algo.variant = no_comp\ncompressor.forward = topk:9", [],
+     "boundary 0 forward: topk k=9 exceeds input dimension 2"),
     ("algo.variant = no_comp\noptimizer.reset_steps = 0,-4", [],
      "optimizer.reset_steps: must be >= 1, got -4, 0"),
     ("algo.variant = no_comp\noptimizer.reset_steps = 5,0", [],
@@ -222,21 +223,14 @@ def test_run_writes_nothing_but_its_csv(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a-file", "m.csv", "run.cfg"]
 
 
-def test_unwritable_output_fails_before_the_first_step(config_path, tmp_path, capsys,
-                                                         monkeypatch):
-    steps = []
-    real = PipelineEngine.run_iteration
-
-    def counting(self):
-        steps.append(self.t)
-        return real(self)
-
-    monkeypatch.setattr(PipelineEngine, "run_iteration", counting)
+def test_unwritable_output_is_refused_before_the_problem_is_built(config_path, tmp_path, capsys,
+                                                                   monkeypatch):
+    built = []
+    monkeypatch.setattr("clapping_sim.harness.build_problem", built.append)
     assert main(["run", str(config_path), "--out", str(tmp_path)]) == 2  # a directory
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(
-        f"config error: {tmp_path}: cannot write metrics file (")
-    assert steps == []
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: {tmp_path}: cannot write metrics file (Is a directory)"]
+    assert built == []
 
 
 HUGE = "9999999999999999999999"
@@ -263,6 +257,35 @@ def test_a_size_numpy_cannot_describe_is_a_config_error(tmp_path, capsys, monkey
     assert main(["run", str(path), "--out", str(tmp_path / "m.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: ") and err.count("\n") == 1, err
+
+
+def no_memory(*args, **kwargs):
+    raise MemoryError("Unable to allocate 437. TiB for an array")
+
+
+class Exhausted:
+    """A random stream with no memory left for the array it is asked for."""
+
+    def standard_normal(self, shape):
+        no_memory()
+
+
+@pytest.mark.parametrize("command, settings, target, replacement, width", [
+    ("run", {"dataset.dim": "5"}, "clapping_sim.datasets.gen_logistic_dataset", no_memory, 6),
+    ("fstar", {"dataset.dim": "5"}, "clapping_sim.datasets.gen_logistic_dataset", no_memory, 6),
+    ("run", MLP, "clapping_sim.harness.named_stream", lambda *args: Exhausted(), 8),
+], ids=["run-logistic", "fstar-logistic", "run-mlp"])
+def test_a_dataset_too_large_to_allocate_names_dataset_n(tmp_path, capsys, monkeypatch, command,
+                                                        settings, target, replacement, width):
+    monkeypatch.setattr(target, replacement)
+    path = tmp_path / "huge.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in {
+        "algo.variant": "no_comp", "dataset.n": "10000000000000", **settings}.items()))
+    out = ["--out", str(tmp_path / "m.csv")] if command == "run" else []
+    assert main([command, str(path)] + out) == 2
+    assert capsys.readouterr() == ("", f"config error: dataset.n: a 10000000000000 x {width} "
+                                   "float64 dataset does not fit in memory\n")
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("command, target", [

@@ -27,12 +27,10 @@ def sgd(gamma=0.1, m=0.5):
 
 
 def make_config(variant, chain, p=1.0, fwd=None, bwd=None, batch=1, steps=10, seed=11,
-                rule=None, resets=frozenset(), opt=None):
+                rule=BATCH_BATCHWISE, resets=frozenset(), opt=None):
     n = chain.num_workers - 1
     fwd = fwd or tuple(comp.identity_spec() for _ in range(n))
     bwd = bwd or tuple(comp.identity_spec() for _ in range(n))
-    if rule is None:
-        rule = "single" if batch == 1 else BATCH_BATCHWISE
     return AlgoConfig(variant=variant, optimizer=opt or sgd(),
                       forward_compressors=fwd, backward_compressors=bwd,
                       batch_size=batch, total_steps=steps, seed=seed,
@@ -217,7 +215,7 @@ class TestExchanges:
         chain = st.tanh_mlp_chain((5, 6, 7, 8, 4), boundaries=(1, 2, 3))
         X = np.zeros((32, 5))
 
-        def caches(variant, rule=None):
+        def caches(variant, rule=BATCH_BATCHWISE):
             eng = PipelineEngine(chain, make_config(variant, chain, batch=4, rule=rule), X)
             return [[link.cache.shape for link in links if link.cache is not None]
                     for links in eng.links]
@@ -344,9 +342,8 @@ class TestAqsgd:
         rng = named_stream(14, "aq")
         X = rng.standard_normal((n_samples, 5))
         init = [rng.standard_normal(chain.worker_param_dim(e)) for e in (1, 2)]
-        rule = "single" if batch == 1 else BATCH_SAMPLEWISE
         cfg = make_config(AQ_SGD, chain, fwd=fwd or (comp.identity_spec(),),
-                          batch=batch, rule=rule, steps=steps, seed=seed)
+                          batch=batch, rule=BATCH_SAMPLEWISE, steps=steps, seed=seed)
         return PipelineEngine(chain, cfg, X, init_weights=init), chain, X, init
 
     def test_cache_entries_counted(self):
@@ -797,6 +794,16 @@ class TestMisc:
             init = [init[0] + 1j, init[1]]
         with pytest.raises(ContractViolation, match=f"^{what}: expected real numbers, got complex"):
             PipelineEngine(chain, make_config(NO_COMP, chain), X, init_weights=init)
+
+    def test_batch_sampler_rule_is_the_default_at_every_batch_size(self, logistic_setup):
+        chain, X, _ = logistic_setup
+        base = make_config(NO_COMP, chain)
+        for batch in (1, 8):
+            cfg = AlgoConfig(variant=NO_COMP, optimizer=base.optimizer,
+                             forward_compressors=base.forward_compressors,
+                             backward_compressors=base.backward_compressors, batch_size=batch)
+            assert cfg.sampler_rule == BATCH_BATCHWISE
+            PipelineEngine(chain, cfg, X).run_iteration()
 
     def test_wrong_compressor_count_rejected(self, logistic_setup):
         chain, X, _ = logistic_setup

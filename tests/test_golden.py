@@ -67,7 +67,7 @@ MLP_CASES = {
         "compressor.backward": "randk:4", "optimizer.kind": "adam",
     },
     "mlp/direct-identity-single": {
-        "algo.variant": "direct", "algo.batch_size": "1", "algo.sampler_rule": "single",
+        "algo.variant": "direct", "algo.batch_size": "1", "algo.sampler_rule": "batch_batchwise",
         "compressor.forward": "identity", "compressor.backward": "topk:2",
     },
 }
@@ -158,6 +158,18 @@ def test_metrics_csvs_match_recorded_digests(tmp_path):
     assert set(got) == set(recorded)
     changed = sorted(name for name in got if got[name] != recorded[name])
     assert not changed, f"metrics CSVs changed: {changed}"
+
+
+@pytest.mark.parametrize("variant", ["clapping_fc", "clapping_fu"])
+def test_batch_size_one_draws_alike_under_both_rules(tmp_path, variant):
+    """At batch size 1 the sampler rule changes nothing: a lazy variant of
+    the batch-size-1 MLP case writes the same bytes under either rule."""
+    case = {**MLP_BASE, **MLP_CASES["mlp/direct-identity-single"], "algo.variant": variant}
+    csvs = []
+    for rule in ("batch_samplewise", "batch_batchwise"):
+        cfg = harness.config_from_mapping({**case, "algo.sampler_rule": rule})
+        csvs.append(harness.run_experiment(cfg, tmp_path / f"{rule}.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 if __name__ == "__main__":

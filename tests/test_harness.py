@@ -208,6 +208,15 @@ class TestRunExperiment:
         with pytest.raises(ConfigurationError, match="^boundary 0 forward: topk k=500"):
             H.run_experiment(H.config_from_mapping(raw), tmp_path / "m.csv")
 
+    def test_a_config_refused_at_build_leaves_an_existing_file_as_it_was(self, tmp_path):
+        raw = H.parse_config_text(CONFIG_TEXT)
+        raw.update({"algo.variant": "no_comp", "compressor.forward": "topk:500"})
+        old = tmp_path / "m.csv"
+        old.write_text("rows of an earlier run\n")
+        with pytest.raises(ConfigurationError, match="^boundary 0 forward: topk k=500"):
+            H.run_experiment(H.config_from_mapping(raw), old)
+        assert old.read_text() == "rows of an earlier run\n"
+
     def test_mlp_dataset_kind_runs(self, tmp_path):
         raw = {
             "dataset.kind": "synthetic_mlp",
@@ -269,14 +278,9 @@ def test_memory_calculator_counts_the_engine_caches(variant, workers, batch, sam
 
 class TestBenchmarkPreset:
     def test_shipped_config_matches_preset(self):
-        from pathlib import Path
-
         shipped = H.load_config(Path(__file__).resolve().parent.parent
                                 / "configs" / "benchmark_fu.cfg")
-        preset = H.logistic_benchmark_config("clapping_fu")
-        assert shipped.algo == preset.algo
-        assert (shipped.dataset_n, shipped.dataset_dim, shipped.c_r) == (
-            preset.dataset_n, preset.dataset_dim, preset.c_r)
+        assert shipped == H.logistic_benchmark_config("clapping_fu")
 
     def test_halving_schedule_and_resets(self):
         cfg = H.logistic_benchmark_config("clapping_fu", total_steps=200_000)

@@ -5,11 +5,11 @@ from hypothesis import strategies as hs
 
 from clapping_sim.errors import ConfigurationError
 from clapping_sim.rng import named_stream
-from clapping_sim.sampling import (BATCH_BATCHWISE, BATCH_SAMPLEWISE, SINGLE, SamplerState,
-                                   Schedule, lazy_sample)
+from clapping_sim.sampling import (BATCH_BATCHWISE, BATCH_SAMPLEWISE, SamplerState, Schedule,
+                                   lazy_sample)
 
 
-def make_sampler(rule=SINGLE, batch=1, p=1.0, n=16, force2=False):
+def make_sampler(rule=BATCH_BATCHWISE, batch=1, p=1.0, n=16, force2=False):
     return SamplerState(rule=rule, batch_size=batch, p_schedule=Schedule.constant(p),
                         n_samples=n, force_fresh_at_step_2=force2)
 
@@ -148,17 +148,13 @@ class TestLazySample:
         with pytest.raises(ConfigurationError, match="batch size 32 exceeds the 8-sample dataset"):
             make_sampler(rule=BATCH_BATCHWISE, batch=32, p=1.0, n=8)
 
-    def test_single_rule_requires_batch_one(self):
-        with pytest.raises(ConfigurationError):
-            make_sampler(rule=SINGLE, batch=4)
-
     def test_p_outside_unit_interval_rejected_when_built(self):
         with pytest.raises(ConfigurationError, match="got 1.5 from step 4"):
-            SamplerState(rule=SINGLE, batch_size=1, p_schedule=Schedule(((1, 0.5), (4, 1.5))),
-                         n_samples=8)
+            SamplerState(rule=BATCH_BATCHWISE, batch_size=1,
+                         p_schedule=Schedule(((1, 0.5), (4, 1.5))), n_samples=8)
 
-    @pytest.mark.parametrize("rule, batch, n", [(SINGLE, 1, 16), (BATCH_BATCHWISE, 8, 32),
-                                                (BATCH_SAMPLEWISE, 8, 32),
+    @pytest.mark.parametrize("rule, batch, n", [(BATCH_BATCHWISE, 1, 16),
+                                                (BATCH_BATCHWISE, 8, 32), (BATCH_SAMPLEWISE, 8, 32),
                                                 (BATCH_BATCHWISE, 4, 0), (BATCH_SAMPLEWISE, 4, 0)])
     def test_returns_read_only_arrays_matching_copying_rule(self, rule, batch, n):
         # n = 0 is stream mode; p changes at step 30 and step 2 is forced fresh
@@ -182,6 +178,16 @@ class TestLazySample:
                 with pytest.raises(ValueError, match="read-only"):
                     refreshed[0] = not refreshed[0]
         assert ours.draws == ref.draws
+
+    @pytest.mark.parametrize("force2", [False, True])
+    def test_both_rules_draw_alike_at_batch_size_one(self, force2):
+        samplewise = make_sampler(rule=BATCH_SAMPLEWISE, p=0.4, force2=force2)
+        batchwise = make_sampler(rule=BATCH_BATCHWISE, p=0.4, force2=force2)
+        rng, rng2 = named_stream(11, "s"), named_stream(11, "s")
+        for _ in range(200):
+            for ours, theirs in zip(lazy_sample(samplewise, rng), lazy_sample(batchwise, rng2)):
+                np.testing.assert_array_equal(ours, theirs)
+        assert rng.random() == rng2.random()  # and took as many draws
 
     def test_stream_mode_counts_draws(self):
         sampler = SamplerState(rule=BATCH_BATCHWISE, batch_size=4,

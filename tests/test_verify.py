@@ -1,12 +1,21 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from test_golden import blas_fingerprint
 
 from clapping_sim import compressors as comp
 from clapping_sim import stages as st
 from clapping_sim import verify as vf
 from clapping_sim.errors import ConfigurationError
+
+# sha256 of what `clapping-sim verify all` prints at seed 0, by numpy and BLAS build
+VERIFY_ALL_DIGESTS = {
+    "numpy 2.4.6; OpenBLAS 0.3.31.188.0  USE64BITINT DYNAMIC_ARCH NO_AFFINITY"
+    " SkylakeX MAX_THREADS=64":
+        "bd52f5bf3ac251a3696b55285d5bf933e3d050fa74ea7b9bbe14411d0b462508",
+}
 
 
 class TestCheckReport:
@@ -159,6 +168,17 @@ class TestSuiteRunner:
         reports = vf.run_suite(name, seed=0)
         assert [r.suite for r in reports] == suites
         assert all(r.passed for r in reports)
+        if name != "all":
+            return
+        # the text the verify command prints, pinned where its digest is recorded
+        lines = []
+        for rep in reports:
+            lines += [rep.summary()] + [f"    {line}" for line in rep.diagnostics]
+        printed = "".join(f"{line}\n" for line in lines)
+        recorded = VERIFY_ALL_DIGESTS.get(blas_fingerprint())
+        if recorded is None:
+            pytest.skip(f"no verify-all digest recorded for {blas_fingerprint()!r}")
+        assert hashlib.sha256(printed.encode()).hexdigest() == recorded
 
     def test_reports_written_to_disk(self, tmp_path):
         reports = vf.run_suite("sampler", seed=0, out_dir=tmp_path)

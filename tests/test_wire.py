@@ -435,35 +435,35 @@ class TestBitPacking:
 class TestTransferLedger:
     def test_hundred_megabit_million_bytes(self):
         ledger = wire.TransferLedger(bandwidth_bps=100e6)
-        ledger.record(0, wire.FORWARD, 10**6)
+        ledger.record(0, wire.FORWARD, 10**6, 10**6)
         assert ledger.simulated_seconds == pytest.approx(0.08, rel=0, abs=1e-15)
 
     def test_zero_bytes_zero_seconds(self):
         ledger = wire.TransferLedger(bandwidth_bps=100e6)
-        ledger.record(0, wire.FORWARD, 0)
+        ledger.record(0, wire.FORWARD, 0, 0)
         assert ledger.simulated_seconds == 0.0
 
     def test_top5pct_vs_dense_time_ratio(self):
         d = 200
         dense = wire.TransferLedger(bandwidth_bps=1e6)
         sparse = wire.TransferLedger(bandwidth_bps=1e6)
-        dense.record(0, 0, 4 * d)
-        sparse.record(0, 0, 8 * (d // 20))
+        dense.record(0, 0, 4 * d, 4 * d)
+        sparse.record(0, 0, 8 * (d // 20), 4 * (d // 20))
         assert dense.simulated_seconds / sparse.simulated_seconds == 10.0
 
     def test_totals_are_sums_of_messages(self):
         ledger = wire.TransferLedger(bandwidth_bps=1e9)
         sizes = [100, 250, 3, 42]
         for i, s in enumerate(sizes):
-            ledger.record(i % 2, i % 2, s)
+            ledger.record(i % 2, i % 2, s, s)
         assert ledger.total_bytes() == sum(sizes)
         assert ledger.total_messages() == len(sizes)
         assert ledger.simulated_seconds == pytest.approx(sum(sizes) * 8 / 1e9)
 
     def test_per_message_latency_term(self):
         ledger = wire.TransferLedger(bandwidth_bps=1e6, latency_s=0.001)
-        ledger.record(0, 0, 1000)
-        ledger.record(0, 1, 1000)
+        ledger.record(0, 0, 1000, 1000)
+        ledger.record(0, 1, 1000, 1000)
         assert ledger.simulated_seconds == pytest.approx(2000 * 8 / 1e6 + 0.002)
 
     def test_bandwidth_must_be_positive(self):
